@@ -1,7 +1,7 @@
 """Exact permutation pattern matching: counting and detection.
 
 The main entry points are :func:`count_ppm` and :func:`detect_ppm`, which
-run in O(n * 2^(n/2)) time and O(n) space. `brute_force_count` and
+run in O(n log n * 2^(n/2)) time and O(n) space. `brute_force_count` and
 `bkm_count` provide two independent slower routes to the same numbers for
 cross-validation and benchmarking.
 """

@@ -38,7 +38,6 @@ class RunConfig:
     """Everything one invocation needs, independent of argparse."""
 
     algorithm: str = "fast"
-    mode: str = "count"
     sigma_text: str | None = None
     sigma_path: str | None = None
     pattern_text: str | None = None
@@ -197,7 +196,6 @@ def build_parser() -> argparse.ArgumentParser:
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     return RunConfig(
         algorithm=getattr(args, "algo", "fast"),
-        mode=args.command,
         sigma_text=getattr(args, "sigma", None),
         sigma_path=getattr(args, "sigma_file", None),
         pattern_text=getattr(args, "pattern", None),

@@ -1,4 +1,4 @@
-"""Linear-time counting of occurrences confined to a segment decomposition.
+"""Counting of occurrences confined to a segment decomposition in O(n) DP steps.
 
 The counter places pattern values bottom-up. Level i stores, for each text
 value j available on the segment of the pattern position that carries
@@ -10,13 +10,19 @@ the segment membership is automatically strictly increasing in position,
 because consecutive segments overlap in at most one point and a repeated
 position would repeat a text value.
 
-Two facts make a run O(n) time and O(n) space:
+Two facts bound the work of a run:
 
 * the per-segment value lists together hold at most n + k - 1 entries
-  (the overlap-at-most-one rule), and they come out of one bucket pass
-  over values 1..n already sorted;
+  (the overlap-at-most-one rule); each is a sorted slice of the text, so
+  gathering them costs O(n log n) comparisons inside the C sort, while
+  the DP itself stays O(n) interpreted steps;
 * each level's prefix sums over the previous level are a two-list merge
   driven by a single forward cursor, so a level costs O(|prev| + |cur|).
+
+A level's prefix sums are nondecreasing, so its last cell is zero exactly
+when the whole level is; the run stops there, since every later level and
+the answer are then zero as well. On text where the pattern is rare most
+runs end a few levels in.
 
 Only two levels are materialized at any moment.
 """
@@ -55,12 +61,7 @@ class DpStats:
 
 
 def segment_values(sigma: Permutation, d: SegmentDecomposition) -> SegmentValues:
-    """Sorted text values on each segment, gathered with one bucket pass.
-
-    Sweeping values 1..n in increasing order and appending each to the
-    buckets of all segments covering its position leaves every bucket
-    sorted without a comparison sort.
-    """
+    """Sorted text values on each segment."""
     if d.n != len(sigma):
         raise LengthMismatch(f"decomposition is over [1, {d.n}], text has length {len(sigma)}")
     validate_decomposition(d)
@@ -70,26 +71,9 @@ def segment_values(sigma: Permutation, d: SegmentDecomposition) -> SegmentValues
 def _segment_value_buckets(
     sigma: Permutation, segments: tuple[tuple[int, int], ...], n: int
 ) -> list[list[int]]:
-    # The segments covering one position form a contiguous run of indices
-    # (anything strictly between two coverers collapses to that point), so
-    # first/last per position is enough.
-    first = [-1] * (n + 1)
-    last = [0] * (n + 1)
-    for p, (lo, hi) in enumerate(segments):
-        for pos in range(lo, hi + 1):
-            if first[pos] < 0:
-                first[pos] = p
-            last[pos] = p
-    buckets: list[list[int]] = [[] for _ in segments]
-    inv = sigma.inverse_values
-    for v in range(1, n + 1):
-        pos = inv[v - 1]
-        p0 = first[pos]
-        if p0 < 0:
-            continue
-        for p in range(p0, last[pos] + 1):
-            buckets[p].append(v)
-    return buckets
+    # n is implied by sigma; it stays in the signature for callers that pass it.
+    sv = sigma.values
+    return [sorted(sv[lo - 1:hi]) for lo, hi in segments]
 
 
 def count_respecting(
@@ -97,9 +81,9 @@ def count_respecting(
 ) -> int:
     """Exact number of occurrences that stay inside d's segments.
 
-    Runs in O(n) time and space for any valid decomposition of the
-    instance. Pass a :class:`DpStats` to record cell writes and cursor
-    advances.
+    Runs O(n) DP steps in O(n) space for any valid decomposition of the
+    instance, after an O(n log n) C-level sort of the segment slices.
+    Pass a :class:`DpStats` to record cell writes and cursor advances.
     """
     sigma = instance.sigma
     n = len(sigma)
@@ -111,9 +95,6 @@ def count_respecting(
     validate_decomposition(d)
 
     buckets = _segment_value_buckets(sigma, d.segments, n)
-    # Sparsity guarantee: overlap at most one caps stored cells, sentinel included.
-    assert sum(map(len, buckets)) + 1 <= n + k
-
     writes = 0
     advances = 0
     pinv = instance.pattern.inverse_values
@@ -138,6 +119,9 @@ def count_respecting(
         advances += cursor
         prev_j = vals
         prev_c = cur
+        if not acc:
+            # acc is cur[-1], the largest cell: this level and all later ones are zero.
+            break
 
     if stats is not None:
         stats.cell_writes += writes

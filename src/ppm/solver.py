@@ -10,13 +10,15 @@ rounded down to even. Summing the confined counts over the family
 therefore counts each occurrence once.
 
 The family has binom(n//2, k//2) <= 2^(n/2) members and each confined
-count costs O(n), which gives the O(n * 2^(n/2)) total with O(n) memory:
-the family is streamed, never materialized.
+count costs O(n) DP steps after an O(n log n) C-level sort, which gives
+the O*(2^(n/2)) total with O(n) memory: the family is streamed, never
+materialized.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
@@ -83,19 +85,13 @@ def decomposition_of_guess(g: EvenGuess, n: int, k: int) -> SegmentDecomposition
         raise LengthMismatch(f"expected {k // 2} anchors for k={k}, got {len(g.values)}")
     if g.values and g.values[-1] > 2 * (n // 2):
         raise OutOfRange(f"anchor {g.values[-1]} beyond last even position of [1, {n}]")
-    lo = [0] * (k + 1)
-    hi = [0] * (k + 1)
-    lo[1] = 1
-    for i, anchor in enumerate(g.values, start=1):
-        e = 2 * i
-        lo[e] = anchor
-        hi[e] = anchor + 1 if anchor < n else n
-        hi[e - 1] = anchor
-        if e + 1 <= k:
-            lo[e + 1] = hi[e]
+    # Segment i runs from boundary i to boundary i + 1.
+    b = [1]
+    for anchor in g.values:
+        b += (anchor, anchor + 1 if anchor < n else n)
     if k % 2:
-        hi[k] = n
-    return SegmentDecomposition(tuple((lo[i], hi[i]) for i in range(1, k + 1)), n)
+        b.append(n)
+    return SegmentDecomposition(tuple(zip(b, b[1:])), n)
 
 
 def enumerate_guesses(n: int, k: int) -> Iterator[EvenGuess]:
@@ -136,20 +132,22 @@ def count_ppm(instance: PpmInstance, threads: int = 1) -> int:
     threads > 1 the family is split into contiguous lexicographic rank
     blocks, one worker each with its own scratch, and the exact partial
     sums are added in block order; the result is identical to the
-    sequential one.
+    sequential one. At most min(threads, CPU count, family size) worker
+    threads start.
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
     n, k = instance.n, instance.k
-    if threads == 1:
-        total = 0
-        for g in enumerate_guesses(n, k):
-            total += dp.count_respecting(instance, decomposition_of_guess(g, n, k))
-        return total
-    bounds = _block_bounds(family_size(n, k), threads)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        parts = [pool.submit(_count_block, instance, start, stop) for start, stop in bounds]
-        return sum(part.result() for part in parts)
+    if threads > 1:
+        bounds = _thread_plan(family_size(n, k), threads)
+        if len(bounds) > 1:
+            with ThreadPoolExecutor(max_workers=len(bounds)) as pool:
+                parts = [pool.submit(_count_block, instance, start, stop) for start, stop in bounds]
+                return sum(part.result() for part in parts)
+    total = 0
+    for g in enumerate_guesses(n, k):
+        total += dp.count_respecting(instance, decomposition_of_guess(g, n, k))
+    return total
 
 
 def detect_ppm(instance: PpmInstance) -> bool:
@@ -208,6 +206,16 @@ def _block_bounds(size: int, blocks: int) -> list[tuple[int, int]]:
         out.append((start, stop))
         start = stop
     return out
+
+
+def _thread_plan(size: int, threads: int) -> list[tuple[int, int]]:
+    """Rank blocks of a `size`-member family, one per worker, in rank order.
+
+    The worker count is min(threads, os.cpu_count(), size), so a huge
+    `threads` neither starts more threads than there are CPUs nor makes
+    empty blocks.
+    """
+    return _block_bounds(size, min(threads, os.cpu_count() or 1, size))
 
 
 def _count_block(instance: PpmInstance, start: int, stop: int) -> int:

@@ -252,9 +252,9 @@ def _module_env():
     return env
 
 
-def _run_proc(*args):
+def _run_proc(*args, python_flags=()):
     return subprocess.run(
-        [sys.executable, "-m", "ppm", *args],
+        [sys.executable, *python_flags, "-m", "ppm", *args],
         capture_output=True,
         env=_module_env(),
         timeout=120,
@@ -273,3 +273,12 @@ def test_process_usage_error_exit_code():
     assert proc.returncode == 2
     assert proc.stdout == b""
     assert b"ppm:" in proc.stderr
+
+
+def test_process_optimized_mode_keeps_checks():
+    # -O strips assert statements; neither the count nor input validation may rely on one.
+    proc = _run_proc("count", "--sigma", "3 2 5 4 1", "--pattern", "1 3 2", python_flags=("-O",))
+    assert (proc.returncode, proc.stdout) == (0, b"2\n")
+    proc = _run_proc("count", "--sigma", "2 1", "--pattern", "1 2 3", python_flags=("-O",))
+    assert (proc.returncode, proc.stdout) == (2, b"")
+    assert proc.stderr.startswith(b"ppm:")

@@ -189,6 +189,16 @@ def test_stats_accumulate_across_runs():
     assert stats.total == 2 * first
 
 
+def test_stats_stop_at_first_zero_level():
+    # Identity text, pattern 2 1 3: level 2 places pattern value 2 on [1, 2]
+    # below nothing placed on [2, 3], so it is all zero and level 3 never runs.
+    inst = _inst(range(1, 7), (2, 1, 3))
+    d = SegmentDecomposition(((1, 2), (2, 3), (3, 6)), 6)
+    stats = DpStats()
+    assert count_respecting(inst, d, stats=stats) == 0
+    assert stats.cell_writes == 4 < sum(map(len, segment_values(inst.sigma, d)))
+
+
 # -- independence from uncovered positions -----------------------------------
 
 

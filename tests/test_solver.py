@@ -9,12 +9,16 @@ Claims checked here:
       respects
     - count_ppm equals the exhaustive count (closed forms and random),
       is invariant under summation order/partition, and parallel blocks
-      reproduce the sequential result exactly
+      reproduce the sequential result exactly, on at most
+      min(threads, cpu count, family size) workers
+    - count_ppm is invariant under reversal, complement and inverse of
+      both permutations, past the oracle's reach (n = 24..28)
     - detect_ppm short-circuits at the first nonzero member
     - the lower-bound construction yields binom((n-1)//2, k//2) distinct
       valid members
 """
 
+import os
 import random
 from itertools import combinations, islice
 from math import comb
@@ -31,14 +35,17 @@ from ppm.core import (
     OutOfRange,
     Permutation,
     PpmInstance,
+    pattern_of,
     respects,
     validate_decomposition,
 )
+from ppm.rng import random_permutation
 from ppm.solver import (
     EvenGuess,
     _advance_combination,
     _block_bounds,
     _guess_block_values,
+    _thread_plan,
     _unrank_combination,
     c_floor,
     canonical_decomposition,
@@ -236,6 +243,19 @@ def test_threads_reproduce_sequential(threads):
         assert count_ppm(inst, threads=threads) == count_ppm(inst)
 
 
+def test_thread_plan_caps_workers(monkeypatch):
+    size = family_size(28, 14)
+    for threads in (1, 2, 3, 10**9):
+        plan = _thread_plan(size, threads)
+        assert len(plan) == min(threads, os.cpu_count() or 1, size)
+        assert plan == _block_bounds(size, len(plan))
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    assert len(_thread_plan(size, 10**9)) == 64
+    assert _thread_plan(3, 10**9) == [(0, 1), (1, 2), (2, 3)]
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert _thread_plan(size, 8) == [(0, size)]
+
+
 def test_threads_validation():
     with pytest.raises(ValueError):
         count_ppm(_inst((1,), (1,)), threads=0)
@@ -276,6 +296,36 @@ def test_detect_matches_count_random():
         rng.shuffle(pat)
         inst = _inst(sigma, pat)
         assert detect_ppm(inst) == (count_ppm(inst) > 0)
+
+
+def _planted(n, k, seed):
+    """Seeded text with the order pattern of one of its k-subsequences."""
+    sigma = random_permutation(n, seed)
+    picked = [sigma.values[p] for p in sorted(random.Random(seed).sample(range(n), k))]
+    return PpmInstance(sigma, pattern_of(picked))
+
+
+def _reverse(p):
+    return Permutation(p.values[::-1])
+
+
+def _complement(p):
+    return Permutation(tuple(len(p) + 1 - v for v in p.values))
+
+
+def _inverse(p):
+    return Permutation(p.inverse_values)
+
+
+@pytest.mark.parametrize("n,k", [(24, 12), (25, 11), (26, 13), (28, 14)])
+def test_count_invariant_under_symmetries(n, k):
+    # Each symmetry maps occurrences one-to-one but sends them to other
+    # family members, so this checks the exactly-once cover beyond the oracle.
+    inst = _planted(n, k, seed=1000 + n)
+    want = count_ppm(inst)
+    assert want >= 1
+    for f in (_reverse, _complement, _inverse):
+        assert count_ppm(PpmInstance(f(inst.sigma), f(inst.pattern))) == want
 
 
 # -- block enumeration (parallel plumbing) -------------------------------------
