@@ -238,6 +238,8 @@ def _validate_config(cfg: RunConfig) -> None:
         raise PpmError(f"--threads must be >= 1, got {cfg.threads}")
     if cfg.seed < 0 or cfg.seed >= 1 << 64:
         raise PpmError(f"--seed must be an unsigned 64-bit integer, got {cfg.seed}")
+    if not 1 <= cfg.max_n <= selftest.MAX_N:
+        raise PpmError(f"--max-n must be in [1, {selftest.MAX_N}], got {cfg.max_n}")
     if cfg.repetitions < 1:
         raise PpmError(f"--reps must be >= 1, got {cfg.repetitions}")
     for n, k in cfg.pairs:

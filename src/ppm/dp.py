@@ -30,6 +30,7 @@ Only two levels are materialized at any moment.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from .core import (
     LengthMismatch,
@@ -95,14 +96,27 @@ def count_respecting(
     validate_decomposition(d)
 
     buckets = _segment_value_buckets(sigma, d.segments, n)
+    return _count_levels(buckets, instance.pattern.inverse_values, stats)
+
+
+def _count_levels(
+    buckets: list[list[int]], order: Sequence[int], stats: DpStats | None
+) -> int:
+    """Placements of the positions in `order` inside their buckets.
+
+    `order` lists 1-based pattern positions by increasing pattern value;
+    position p takes its text value from ``buckets[p - 1]``, and the values
+    must increase along `order`. With the pattern's inverse this counts
+    every confined occurrence; with positions 1..q alone, in the same order,
+    it counts the confined occurrences of the pattern's first q entries.
+    """
     writes = 0
     advances = 0
-    pinv = instance.pattern.inverse_values
     # Sentinel level: one way to place nothing, sitting below every text value.
     prev_j: list[int] = [0]
     prev_c: list[int] = [1]
-    for i in range(k):
-        vals = buckets[pinv[i] - 1]
+    for p in order:
+        vals = buckets[p - 1]
         cur: list[int] = []
         append = cur.append
         acc = 0

@@ -30,6 +30,10 @@ from .rng import random_permutation
 
 _EXHAUSTIVE_CAP = 5
 _SEED = 0x5EED
+# The family-size and lower-bound suites run up to n = max_n + _HEADROOM,
+# and the lower-bound family is materialized only up to LOWERBOUND_CAP.
+_HEADROOM = 6
+MAX_N = solver.LOWERBOUND_CAP - _HEADROOM
 
 
 def _perms(n: int) -> list[Permutation]:
@@ -124,7 +128,7 @@ def _suite_unique_cover(max_n: int) -> tuple[bool, str]:
 
 
 def _suite_family_size(max_n: int) -> tuple[bool, str]:
-    for n in range(1, max_n + 7):
+    for n in range(1, max_n + _HEADROOM + 1):
         for k in range(1, n + 1):
             count = 0
             for g in solver.enumerate_guesses(n, k):
@@ -137,7 +141,7 @@ def _suite_family_size(max_n: int) -> tuple[bool, str]:
 
 
 def _suite_lowerbound_size(max_n: int) -> tuple[bool, str]:
-    for n in range(1, max_n + 7):
+    for n in range(1, max_n + _HEADROOM + 1):
         for k in range(1, n + 1):
             if k // 2 > (n - 1) // 2:
                 continue
@@ -207,7 +211,10 @@ SUITES: list[tuple[str, Callable[[int], tuple[bool, str]]]] = [
 
 
 def run_suites(max_n: int = 6) -> list[tuple[str, bool, str]]:
-    """Run every suite; returns (name, passed, detail) per suite."""
+    """Run every suite; returns (name, passed, detail) per suite.
+
+    `max_n` must lie in [1, MAX_N]; outside it some suites cannot run.
+    """
     results = []
     for name, fn in SUITES:
         try:

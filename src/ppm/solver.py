@@ -13,6 +13,16 @@ The family has binom(n//2, k//2) <= 2^(n/2) members and each confined
 count costs O(n) DP steps after an O(n log n) C-level sort, which gives
 the O*(2^(n/2)) total with O(n) memory: the family is streamed, never
 materialized.
+
+Counting sums over the whole family. Detection walks the same family in
+the same order but prunes it by anchor prefix: the first 2j segments of a
+member depend only on its first j anchors, and an occurrence confined to
+the member restricts to an occurrence of pattern positions 1..2j confined
+to those segments. When that prefix has no such occurrence, no member
+sharing the prefix counts anything, so the walk skips all of them and the
+answer stays exact. Pruning depends on the instance; where no prefix is
+empty the walk still visits all binom(n//2, k//2) members, so the worst
+case is unchanged.
 """
 
 from __future__ import annotations
@@ -22,7 +32,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from . import dp
 from .core import (
@@ -85,13 +95,22 @@ def decomposition_of_guess(g: EvenGuess, n: int, k: int) -> SegmentDecomposition
         raise LengthMismatch(f"expected {k // 2} anchors for k={k}, got {len(g.values)}")
     if g.values and g.values[-1] > 2 * (n // 2):
         raise OutOfRange(f"anchor {g.values[-1]} beyond last even position of [1, {n}]")
-    # Segment i runs from boundary i to boundary i + 1.
+    return SegmentDecomposition(_anchor_segments(g.values, n, k), n)
+
+
+def _anchor_segments(anchors: Sequence[int], n: int, k: int) -> tuple[tuple[int, int], ...]:
+    """Segments of the family member with these anchors, by pattern position.
+
+    Segment i runs from boundary i to boundary i + 1, where the boundaries
+    are [1, a1, min(a1+1, n), a2, min(a2+1, n), ...], followed by n when k
+    is odd. The first 2j segments depend on a1..aj alone.
+    """
     b = [1]
-    for anchor in g.values:
+    for anchor in anchors:
         b += (anchor, anchor + 1 if anchor < n else n)
     if k % 2:
         b.append(n)
-    return SegmentDecomposition(tuple(zip(b, b[1:])), n)
+    return tuple(zip(b, b[1:]))
 
 
 def enumerate_guesses(n: int, k: int) -> Iterator[EvenGuess]:
@@ -153,14 +172,52 @@ def count_ppm(instance: PpmInstance, threads: int = 1) -> int:
 def detect_ppm(instance: PpmInstance) -> bool:
     """Whether the pattern occurs at all.
 
-    Short-circuits: returns True at the first family member with a
-    nonzero confined count.
+    Walks the anchor family in the lexicographic order of
+    :func:`enumerate_guesses` and returns True at the first member with a
+    nonzero confined count. After a member counts zero, the walk checks
+    the prefixes a1..aj of its anchors, shallowest first, for every depth
+    j whose subtree holds more than this member: an occurrence confined to
+    a member restricts to an occurrence of pattern positions 1..2j inside
+    the member's first 2j segments, which a1..aj alone fix. A prefix with
+    no such occurrence rules out every member that shares it, so the walk
+    skips them all and the answer stays exact. A prefix found to hold an
+    occurrence is not checked again until one of its anchors moves. On
+    instances where no prefix counts zero the walk still visits all
+    binom(n//2, k//2) members.
     """
     n, k = instance.n, instance.k
-    for g in enumerate_guesses(n, k):
-        if dp.count_respecting(instance, decomposition_of_guess(g, n, k)) > 0:
+    r = k // 2
+    last = 2 * (n // 2 - r)  # anchor i (0-based) runs up to last + 2 * (i + 1)
+    sigma = instance.sigma
+    pinv = instance.pattern.inverse_values
+    orders: list[list[int] | None] = [None] * r  # orders[j - 1]: positions 1..2j by value
+    anchors = list(range(2, 2 * r + 1, 2))
+    checked = 0  # prefixes of depth 1..checked hold an occurrence
+    while True:
+        segments = _anchor_segments(anchors, n, k)
+        if dp.count_respecting(instance, SegmentDecomposition(segments, n)) > 0:
             return True
-    return False
+        t = r - 1
+        while t >= 0 and anchors[t] == last + 2 * (t + 1):
+            t -= 1
+        if t < 0:
+            return False
+        # Depths 1..t have subtrees beyond this member; skip at the shallowest empty one.
+        buckets: list[list[int]] = []
+        while checked < t:
+            width = 2 * checked + 2
+            buckets += dp._segment_value_buckets(sigma, segments[len(buckets):width], n)
+            order = orders[checked]
+            if order is None:
+                order = orders[checked] = [p for p in pinv if p <= width]
+            if not dp._count_levels(buckets, order, None):
+                t = checked
+                break
+            checked += 1
+        anchors[t] += 2
+        for i in range(t + 1, r):
+            anchors[i] = anchors[i - 1] + 2
+        checked = min(checked, t)
 
 
 LOWERBOUND_CAP = 24

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import ppm
-from ppm import cli, dp
+from ppm import cli, dp, selftest
 from ppm.core import parse_permutation
 from ppm.rng import random_permutation
 
@@ -167,6 +167,15 @@ def test_selftest_passes_fresh_build(capsys):
     lines = out.splitlines()
     assert "unique-cover: pass" in lines
     assert all(line.endswith(": pass") for line in lines)
+
+
+def test_selftest_rejects_max_n_out_of_range(capsys):
+    for bad in ("-3", "0", str(selftest.MAX_N + 1)):
+        code, out, err = run_cli(capsys, "selftest", "--max-n", bad)
+        assert (code, out) == (2, ""), bad
+        assert err.startswith("ppm: --max-n must be in [1, ")
+    # The upper edge is checked through the validator; a real run there takes minutes.
+    cli._validate_config(cli.RunConfig(max_n=selftest.MAX_N))
 
 
 def test_selftest_catches_broken_merge_cursor(capsys, monkeypatch):

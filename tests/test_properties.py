@@ -1,0 +1,58 @@
+"""Hypothesis properties of the solver against the brute-force oracle, n <= 10.
+
+Claims checked here:
+    - count_ppm equals brute_force_count, and detect_ppm says whether it
+      is positive, on arbitrary (text, pattern) pairs
+    - the same on planted pairs, whose pattern is the order pattern of a
+      subsequence of the text, so the count is at least one
+
+Examples are derandomized, so every run draws the same cases; a failure
+shrinks to a minimal counterexample.
+"""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ppm.core import Permutation, PpmInstance, pattern_of
+from ppm.oracle import brute_force_count
+from ppm.solver import count_ppm, detect_ppm
+
+MAX_N = 10
+
+_settings = settings(derandomize=True, database=None, max_examples=300, deadline=None)
+
+
+@st.composite
+def random_pairs(draw):
+    n = draw(st.integers(1, MAX_N))
+    k = draw(st.integers(1, n))
+    sigma = draw(st.permutations(range(1, n + 1)))
+    pattern = draw(st.permutations(range(1, k + 1)))
+    return PpmInstance(Permutation(tuple(sigma)), Permutation(tuple(pattern)))
+
+
+@st.composite
+def planted_pairs(draw):
+    n = draw(st.integers(1, MAX_N))
+    sigma = draw(st.permutations(range(1, n + 1)))
+    positions = draw(st.sets(st.integers(0, n - 1), min_size=1))
+    return PpmInstance(Permutation(tuple(sigma)), pattern_of([sigma[p] for p in sorted(positions)]))
+
+
+def _check_against_oracle(inst):
+    want = brute_force_count(inst)
+    assert count_ppm(inst) == want
+    assert detect_ppm(inst) == (want > 0)
+    return want
+
+
+@_settings
+@given(random_pairs())
+def test_random_pairs_match_oracle(inst):
+    _check_against_oracle(inst)
+
+
+@_settings
+@given(planted_pairs())
+def test_planted_pairs_match_oracle(inst):
+    assert _check_against_oracle(inst) >= 1

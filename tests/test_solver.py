@@ -11,16 +11,21 @@ Claims checked here:
       is invariant under summation order/partition, and parallel blocks
       reproduce the sequential result exactly, on at most
       min(threads, cpu count, family size) workers
-    - count_ppm is invariant under reversal, complement and inverse of
-      both permutations, past the oracle's reach (n = 24..28)
-    - detect_ppm short-circuits at the first nonzero member
+    - past the oracle's reach: count_ppm is invariant under reversal,
+      complement and inverse of both permutations (n = 24..28), the
+      counts of all k! patterns with k <= 3 sum to C(n, k) (n = 30..40),
+      and monotone texts and patterns meet their closed forms (n <= 32)
+    - detect_ppm short-circuits at the first nonzero member, finds
+      planted patterns and keeps its answer under the symmetries
+      (n = 28..40), and prunes empty anchor prefixes while visiting
+      members in family order
     - the lower-bound construction yields binom((n-1)//2, k//2) distinct
       valid members
 """
 
 import os
 import random
-from itertools import combinations, islice
+from itertools import combinations, islice, permutations
 from math import comb
 
 import pytest
@@ -35,6 +40,7 @@ from ppm.core import (
     OutOfRange,
     Permutation,
     PpmInstance,
+    is_solution,
     pattern_of,
     respects,
     validate_decomposition,
@@ -64,6 +70,10 @@ def _inst(sigma, pattern):
 
 def _identity(n):
     return Permutation(tuple(range(1, n + 1)))
+
+
+def _anti_identity(n):
+    return Permutation(tuple(range(n, 0, -1)))
 
 
 # -- c_floor -----------------------------------------------------------------
@@ -194,10 +204,15 @@ def test_count_worked_examples():
 
 
 def test_count_closed_forms():
-    # Increasing pattern in increasing text: any k-subset of positions works.
-    for n, k in ((6, 3), (10, 4), (12, 6)):
-        inst = PpmInstance(_identity(n), _identity(k))
-        assert count_ppm(inst) == comb(n, k)
+    # A monotone pattern in a monotone text: any k-subset of positions works
+    # when both run the same way, none when they run opposite ways (k >= 2).
+    for n, k in ((6, 3), (10, 4), (12, 6), (28, 8), (30, 7), (32, 8)):
+        for text in (_identity(n), _anti_identity(n)):
+            for pattern in (_identity(k), _anti_identity(k)):
+                want = comb(n, k) if (text.values[0] == 1) == (pattern.values[0] == 1) else 0
+                inst = PpmInstance(text, pattern)
+                assert count_ppm(inst) == want
+                assert detect_ppm(inst) == (want > 0)
     # k = n is a single decomposition through the general path.
     assert count_ppm(_inst((4, 1, 3, 2), (4, 1, 3, 2))) == 1
     assert count_ppm(_inst((4, 1, 3, 2), (1, 4, 3, 2))) == 0
@@ -214,6 +229,15 @@ def test_count_random_against_oracle():
         rng.shuffle(pat)
         inst = _inst(sigma, pat)
         assert count_ppm(inst) == oracle.brute_force_count(inst)
+
+
+@pytest.mark.parametrize("n", [30, 35, 40])
+def test_small_pattern_counts_sum_to_binomial(n):
+    # Every k-subset of positions is an occurrence of exactly one k-pattern.
+    sigma = random_permutation(n, 4000 + n)
+    for k in (1, 2, 3):
+        patterns = permutations(range(1, k + 1))
+        assert sum(count_ppm(PpmInstance(sigma, Permutation(p))) for p in patterns) == comb(n, k)
 
 
 def test_sum_is_partition_invariant():
@@ -299,10 +323,11 @@ def test_detect_matches_count_random():
 
 
 def _planted(n, k, seed):
-    """Seeded text with the order pattern of one of its k-subsequences."""
+    """Seeded text with the order pattern of one of its k-subsequences, and that subsequence."""
     sigma = random_permutation(n, seed)
-    picked = [sigma.values[p] for p in sorted(random.Random(seed).sample(range(n), k))]
-    return PpmInstance(sigma, pattern_of(picked))
+    positions = sorted(random.Random(seed).sample(range(n), k))
+    inst = PpmInstance(sigma, pattern_of([sigma.values[p] for p in positions]))
+    return inst, Embedding(tuple(p + 1 for p in positions))
 
 
 def _reverse(p):
@@ -321,11 +346,65 @@ def _inverse(p):
 def test_count_invariant_under_symmetries(n, k):
     # Each symmetry maps occurrences one-to-one but sends them to other
     # family members, so this checks the exactly-once cover beyond the oracle.
-    inst = _planted(n, k, seed=1000 + n)
+    inst, _ = _planted(n, k, seed=1000 + n)
     want = count_ppm(inst)
     assert want >= 1
     for f in (_reverse, _complement, _inverse):
         assert count_ppm(PpmInstance(f(inst.sigma), f(inst.pattern))) == want
+
+
+@pytest.mark.parametrize("n,k", [(32, 16), (34, 13), (36, 18), (40, 20)])
+def test_detect_finds_planted_past_oracle(n, k):
+    inst, f = _planted(n, k, seed=2000 + n)
+    assert is_solution(inst, f)
+    assert detect_ppm(inst)
+
+
+def test_detect_invariant_under_symmetries():
+    seen = set()
+    for n, k in ((28, 14), (30, 5), (32, 16), (34, 6), (36, 18)):
+        inst = PpmInstance(random_permutation(n, 3000 + n), random_permutation(k, 3001 + n))
+        want = detect_ppm(inst)
+        for f in (_reverse, _complement, _inverse):
+            assert detect_ppm(PpmInstance(f(inst.sigma), f(inst.pattern))) == want
+        seen.add(want)
+    assert seen == {True, False}
+
+
+def _detect_visits(monkeypatch, inst):
+    """detect_ppm's answer and the members it handed to the confined counter."""
+    calls = []
+    real = dp.count_respecting
+
+    def counting(instance, d, stats=None):
+        calls.append(d)
+        return real(instance, d, stats)
+
+    monkeypatch.setattr(dp, "count_respecting", counting)
+    found = detect_ppm(inst)
+    monkeypatch.setattr(dp, "count_respecting", real)
+    return found, calls
+
+
+def test_detect_prunes_empty_prefixes(monkeypatch):
+    n, k = 28, 14
+    family = [decomposition_of_guess(g, n, k) for g in enumerate_guesses(n, k)]
+    absent = PpmInstance(random_permutation(n, 28), random_permutation(k, 14))
+    assert count_ppm(absent) == 0
+    found, visited = _detect_visits(monkeypatch, absent)
+    assert not found
+    assert len(visited) < family_size(n, k) // 10
+    # Visits follow the family's lexicographic order, skipping members.
+    rest = iter(family)
+    assert all(d in rest for d in visited)
+    # A planted pattern stops at the same first nonzero member as a full scan.
+    planted, _ = _planted(24, 12, seed=24)
+    found, visited = _detect_visits(monkeypatch, planted)
+    first_hit = next(
+        d for d in (decomposition_of_guess(g, 24, 12) for g in enumerate_guesses(24, 12))
+        if dp.count_respecting(planted, d)
+    )
+    assert found and visited[-1] == first_hit
 
 
 # -- block enumeration (parallel plumbing) -------------------------------------
