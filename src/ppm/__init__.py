@@ -30,13 +30,7 @@ from .core import (
     validate_decomposition,
 )
 from .dp import DpStats, SegmentValues, count_respecting, segment_values
-from .oracle import (
-    OracleReport,
-    bkm_count,
-    brute_force_count,
-    brute_force_enumerate,
-    oracle_report,
-)
+from .oracle import bkm_count, brute_force_count, brute_force_enumerate
 from .rng import SplitMix64, random_permutation
 from .solver import (
     EvenGuess,
@@ -63,7 +57,6 @@ __all__ = [
     "LengthMismatch",
     "MalformedToken",
     "NotAPermutation",
-    "OracleReport",
     "OrderViolation",
     "OutOfRange",
     "Permutation",
@@ -85,7 +78,6 @@ __all__ = [
     "family_size",
     "format_permutation",
     "is_solution",
-    "oracle_report",
     "parse_permutation",
     "pattern_of",
     "random_permutation",

@@ -30,7 +30,11 @@ EXIT_OK = 0
 EXIT_SELFTEST_FAILED = 1
 EXIT_USAGE = 2
 
+# Largest `gen --n`: a permutation of 10**6 values takes about 3 s to draw.
+GEN_MAX_N = 10**6
+
 _ALGOS = ("fast", "bkm", "brute")
+_THREADS_HELP = "accepted for compatibility: must be >= 1, otherwise ignored"
 
 
 @dataclass(frozen=True)
@@ -134,7 +138,11 @@ def _load_permutation(text: str | None, path: str | None, line: int, role: str) 
         return parse_permutation(text)
     if path is None:
         raise EmptyInput(f"missing {role} (inline text or {role}-file)")
-    lines = [ln for ln in Path(path).read_text().splitlines() if ln.strip()]
+    try:
+        raw = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise PpmError(f"{path}: not UTF-8 text (invalid byte at offset {exc.start})") from exc
+    lines = [ln for ln in raw.splitlines() if ln.strip()]
     if not lines:
         raise EmptyInput(f"{path}: no data lines")
     # Instance files carry sigma on line 1 and the pattern on line 2; a
@@ -169,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
         g2 = p.add_mutually_exclusive_group(required=True)
         g2.add_argument("--pattern", help="pattern permutation, one-line notation")
         g2.add_argument("--pattern-file", help="file with the pattern on its second line (or only line)")
-        p.add_argument("--threads", type=int, default=1)
+        p.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
 
     p_count = sub.add_parser("count", help="print the exact number of occurrences")
     add_instance_flags(p_count)
@@ -189,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--algo", choices=_ALGOS, default="fast")
     p_bench.add_argument("--seed", type=int, default=0)
     p_bench.add_argument("--reps", type=int, default=5)
-    p_bench.add_argument("--threads", type=int, default=1)
+    p_bench.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
     return parser
 
 
@@ -238,6 +246,8 @@ def _validate_config(cfg: RunConfig) -> None:
         raise PpmError(f"--threads must be >= 1, got {cfg.threads}")
     if cfg.seed < 0 or cfg.seed >= 1 << 64:
         raise PpmError(f"--seed must be an unsigned 64-bit integer, got {cfg.seed}")
+    if cfg.n is not None and not 1 <= cfg.n <= GEN_MAX_N:
+        raise PpmError(f"--n must be in [1, {GEN_MAX_N}], got {cfg.n}")
     if not 1 <= cfg.max_n <= selftest.MAX_N:
         raise PpmError(f"--max-n must be in [1, {selftest.MAX_N}], got {cfg.max_n}")
     if cfg.repetitions < 1:

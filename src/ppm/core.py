@@ -106,9 +106,6 @@ class Permutation:
             inv[v - 1] = pos
         return tuple(inv)
 
-    def inverse(self) -> "Permutation":
-        return Permutation(self.inverse_values)
-
 
 @dataclass(frozen=True)
 class PpmInstance:

@@ -66,13 +66,12 @@ def segment_values(sigma: Permutation, d: SegmentDecomposition) -> SegmentValues
     if d.n != len(sigma):
         raise LengthMismatch(f"decomposition is over [1, {d.n}], text has length {len(sigma)}")
     validate_decomposition(d)
-    return tuple(tuple(b) for b in _segment_value_buckets(sigma, d.segments, len(sigma)))
+    return tuple(tuple(b) for b in _segment_value_buckets(sigma, d.segments))
 
 
 def _segment_value_buckets(
-    sigma: Permutation, segments: tuple[tuple[int, int], ...], n: int
+    sigma: Permutation, segments: Sequence[tuple[int, int]]
 ) -> list[list[int]]:
-    # n is implied by sigma; it stays in the signature for callers that pass it.
     sv = sigma.values
     return [sorted(sv[lo - 1:hi]) for lo, hi in segments]
 
@@ -95,7 +94,7 @@ def count_respecting(
         raise LengthMismatch(f"decomposition is over [1, {d.n}], text has length {n}")
     validate_decomposition(d)
 
-    buckets = _segment_value_buckets(sigma, d.segments, n)
+    buckets = _segment_value_buckets(sigma, d.segments)
     return _count_levels(buckets, instance.pattern.inverse_values, stats)
 
 

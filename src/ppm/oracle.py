@@ -12,21 +12,12 @@ Two independent routes to the same number as the main solver:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
 from . import dp
 from .core import Embedding, InstanceTooLarge, PpmInstance, SegmentDecomposition
 
 DEFAULT_MAX_N = 24
-
-
-@dataclass(frozen=True)
-class OracleReport:
-    """Count plus, on request, the occurrences themselves."""
-
-    count: int
-    solutions: tuple[Embedding, ...] | None = None
 
 
 def brute_force_enumerate(instance: PpmInstance, max_n: int = DEFAULT_MAX_N) -> list[Embedding]:
@@ -51,15 +42,6 @@ def brute_force_count(instance: PpmInstance, max_n: int = DEFAULT_MAX_N) -> int:
 
     _search(instance, bump)
     return hits[0]
-
-
-def oracle_report(
-    instance: PpmInstance, materialize: bool = False, max_n: int = DEFAULT_MAX_N
-) -> OracleReport:
-    if materialize:
-        sols = brute_force_enumerate(instance, max_n)
-        return OracleReport(count=len(sols), solutions=tuple(sols))
-    return OracleReport(count=brute_force_count(instance, max_n))
 
 
 def bkm_count(instance: PpmInstance) -> int:

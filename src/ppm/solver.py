@@ -28,8 +28,6 @@ case is unchanged.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator, Sequence
@@ -147,22 +145,14 @@ def canonical_decomposition(f: Embedding, n: int) -> SegmentDecomposition:
 def count_ppm(instance: PpmInstance, threads: int = 1) -> int:
     """Total number of occurrences of the pattern in the text.
 
-    Sums the confined counts over the whole anchor family. With
-    threads > 1 the family is split into contiguous lexicographic rank
-    blocks, one worker each with its own scratch, and the exact partial
-    sums are added in block order; the result is identical to the
-    sequential one. At most min(threads, CPU count, family size) worker
-    threads start.
+    Sums the confined counts over the whole anchor family, one member at a
+    time on the calling thread. `threads` is kept for compatibility: it
+    must be at least 1 and is otherwise ignored, since the pure-Python
+    counter holds the GIL and worker threads only slowed it down.
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
     n, k = instance.n, instance.k
-    if threads > 1:
-        bounds = _thread_plan(family_size(n, k), threads)
-        if len(bounds) > 1:
-            with ThreadPoolExecutor(max_workers=len(bounds)) as pool:
-                parts = [pool.submit(_count_block, instance, start, stop) for start, stop in bounds]
-                return sum(part.result() for part in parts)
     total = 0
     for g in enumerate_guesses(n, k):
         total += dp.count_respecting(instance, decomposition_of_guess(g, n, k))
@@ -206,7 +196,7 @@ def detect_ppm(instance: PpmInstance) -> bool:
         buckets: list[list[int]] = []
         while checked < t:
             width = 2 * checked + 2
-            buckets += dp._segment_value_buckets(sigma, segments[len(buckets):width], n)
+            buckets += dp._segment_value_buckets(sigma, segments[len(buckets):width])
             order = orders[checked]
             if order is None:
                 order = orders[checked] = [p for p in pinv if p <= width]
@@ -251,81 +241,3 @@ def lowerbound_family(n: int, k: int) -> set[SegmentDecomposition]:
             values[-1] = n
         out.add(canonical_decomposition(Embedding(tuple(values)), n))
     return out
-
-
-def _block_bounds(size: int, blocks: int) -> list[tuple[int, int]]:
-    """Split range(size) into `blocks` contiguous near-equal rank ranges."""
-    q, rem = divmod(size, blocks)
-    out = []
-    start = 0
-    for b in range(blocks):
-        stop = start + q + (1 if b < rem else 0)
-        out.append((start, stop))
-        start = stop
-    return out
-
-
-def _thread_plan(size: int, threads: int) -> list[tuple[int, int]]:
-    """Rank blocks of a `size`-member family, one per worker, in rank order.
-
-    The worker count is min(threads, os.cpu_count(), size), so a huge
-    `threads` neither starts more threads than there are CPUs nor makes
-    empty blocks.
-    """
-    return _block_bounds(size, min(threads, os.cpu_count() or 1, size))
-
-
-def _count_block(instance: PpmInstance, start: int, stop: int) -> int:
-    n, k = instance.n, instance.k
-    total = 0
-    for values in _guess_block_values(n, k, start, stop):
-        d = decomposition_of_guess(EvenGuess(values), n, k)
-        total += dp.count_respecting(instance, d)
-    return total
-
-
-def _guess_block_values(n: int, k: int, start: int, stop: int) -> Iterator[tuple[int, ...]]:
-    """Anchor tuples whose lexicographic ranks lie in [start, stop)."""
-    m = n // 2
-    r = k // 2
-    if start >= stop:
-        return
-    if r == 0:
-        if start == 0:
-            yield ()
-        return
-    idxs = _unrank_combination(start, m, r)
-    remaining = stop - start
-    while True:
-        yield tuple(2 * (i + 1) for i in idxs)
-        remaining -= 1
-        if remaining == 0 or not _advance_combination(idxs, m):
-            return
-
-
-def _unrank_combination(rank: int, m: int, r: int) -> list[int]:
-    """The r-subset of range(m) at lexicographic rank `rank`, as a list."""
-    idxs = []
-    c = 0
-    for slot in range(r):
-        while True:
-            below = math.comb(m - c - 1, r - slot - 1)
-            if rank < below:
-                break
-            rank -= below
-            c += 1
-        idxs.append(c)
-        c += 1
-    return idxs
-
-
-def _advance_combination(idxs: list[int], m: int) -> bool:
-    """Step an r-subset of range(m) to its lexicographic successor in place."""
-    r = len(idxs)
-    for i in range(r - 1, -1, -1):
-        if idxs[i] != m - r + i:
-            idxs[i] += 1
-            for j in range(i + 1, r):
-                idxs[j] = idxs[j - 1] + 1
-            return True
-    return False

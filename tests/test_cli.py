@@ -103,6 +103,15 @@ def test_gen_rejects_bad_n(capsys):
     assert run_cli(capsys, "gen", "--n", "0", "--seed", "1")[0] == 2
 
 
+def test_gen_rejects_n_above_cap(capsys):
+    # A run past the cap is refused before anything is drawn; if the check
+    # broke, this run would cost seconds, never a huge allocation.
+    code, out, err = run_cli(capsys, "gen", "--n", str(cli.GEN_MAX_N + 1), "--seed", "1")
+    assert (code, out) == (2, "") and err.startswith("ppm: --n must be in [1, ")
+    # The cap itself is checked through the validator; a real run there takes seconds.
+    cli._validate_config(cli.RunConfig(n=cli.GEN_MAX_N))
+
+
 def test_gen_rejects_bad_seed(capsys):
     assert run_cli(capsys, "gen", "--n", "3", "--seed", "-1")[0] == 2
     assert run_cli(capsys, "gen", "--n", "3", "--seed", str(1 << 64))[0] == 2
@@ -134,6 +143,14 @@ def test_missing_file_is_usage_error(tmp_path, capsys):
         capsys, "count", "--sigma-file", str(tmp_path / "nope"), "--pattern", "1"
     )
     assert code == 2 and err.startswith("ppm:")
+
+
+def test_non_utf8_file_is_usage_error(tmp_path, capsys):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"\xff\xfe1 2\n")
+    code, out, err = run_cli(capsys, "count", "--sigma-file", str(bad), "--pattern", "1")
+    assert (code, out) == (2, "")
+    assert err.startswith("ppm:") and str(bad) in err and err.count("\n") == 1
 
 
 def test_mutually_exclusive_flags():
@@ -185,10 +202,9 @@ def test_selftest_catches_broken_merge_cursor(capsys, monkeypatch):
     from ppm.dp import _segment_value_buckets
 
     def broken(instance, d, stats=None):
-        sigma = instance.sigma
-        n, k = len(sigma), len(instance.pattern)
+        k = len(instance.pattern)
         validate_decomposition(d)
-        buckets = _segment_value_buckets(sigma, d.segments, n)
+        buckets = _segment_value_buckets(instance.sigma, d.segments)
         pinv = instance.pattern.inverse_values
         prev_j, prev_c = [0], [1]
         for i in range(k):

@@ -228,12 +228,6 @@ def test_permutation_call_is_one_based():
         p(4)
 
 
-def test_permutation_inverse():
-    p = Permutation((3, 1, 2))
-    assert p.inverse_values == (2, 3, 1)
-    assert p.inverse().inverse() == p
-
-
 def test_permutation_rejects_empty():
     with pytest.raises(EmptyInput):
         Permutation(())

@@ -29,7 +29,6 @@ from ppm.oracle import (
     bkm_count,
     brute_force_count,
     brute_force_enumerate,
-    oracle_report,
 )
 
 
@@ -91,14 +90,6 @@ def test_cap_enforced():
     with pytest.raises(InstanceTooLarge):
         brute_force_enumerate(big)
     assert brute_force_count(big, max_n=25) == 25
-
-
-def test_oracle_report():
-    inst = _inst((3, 2, 5, 4, 1), (1, 3, 2))
-    bare = oracle_report(inst)
-    assert bare.count == 2 and bare.solutions is None
-    full = oracle_report(inst, materialize=True)
-    assert full.count == len(full.solutions) == 2
 
 
 # -- bkm baseline ----------------------------------------------------------------

@@ -8,9 +8,8 @@ Claims checked here:
     - canonical_decomposition is the one family member an occurrence
       respects
     - count_ppm equals the exhaustive count (closed forms and random),
-      is invariant under summation order/partition, and parallel blocks
-      reproduce the sequential result exactly, on at most
-      min(threads, cpu count, family size) workers
+      is invariant under summation order/partition, and accepts any
+      threads >= 1 without starting a thread or changing the result
     - past the oracle's reach: count_ppm is invariant under reversal,
       complement and inverse of both permutations (n = 24..28), the
       counts of all k! patterns with k <= 3 sum to C(n, k) (n = 30..40),
@@ -23,14 +22,14 @@ Claims checked here:
       valid members
 """
 
-import os
 import random
-from itertools import combinations, islice, permutations
+import threading
+from itertools import islice, permutations
 from math import comb
 
 import pytest
 
-from ppm import dp, oracle
+from ppm import cli, dp, oracle
 from ppm.core import (
     Embedding,
     InstanceTooLarge,
@@ -40,6 +39,7 @@ from ppm.core import (
     OutOfRange,
     Permutation,
     PpmInstance,
+    format_permutation,
     is_solution,
     pattern_of,
     respects,
@@ -48,11 +48,6 @@ from ppm.core import (
 from ppm.rng import random_permutation
 from ppm.solver import (
     EvenGuess,
-    _advance_combination,
-    _block_bounds,
-    _guess_block_values,
-    _thread_plan,
-    _unrank_combination,
     c_floor,
     canonical_decomposition,
     count_ppm,
@@ -267,22 +262,23 @@ def test_threads_reproduce_sequential(threads):
         assert count_ppm(inst, threads=threads) == count_ppm(inst)
 
 
-def test_thread_plan_caps_workers(monkeypatch):
-    size = family_size(28, 14)
-    for threads in (1, 2, 3, 10**9):
-        plan = _thread_plan(size, threads)
-        assert len(plan) == min(threads, os.cpu_count() or 1, size)
-        assert plan == _block_bounds(size, len(plan))
-    monkeypatch.setattr(os, "cpu_count", lambda: 64)
-    assert len(_thread_plan(size, 10**9)) == 64
-    assert _thread_plan(3, 10**9) == [(0, 1), (1, 2), (2, 3)]
-    monkeypatch.setattr(os, "cpu_count", lambda: None)
-    assert _thread_plan(size, 8) == [(0, size)]
-
-
 def test_threads_validation():
     with pytest.raises(ValueError):
         count_ppm(_inst((1,), (1,)), threads=0)
+
+
+def test_threads_start_no_thread(monkeypatch, capsys):
+    def refuse(self):
+        raise AssertionError("count_ppm started a thread")
+
+    sigma, pattern = random_permutation(20, 3), random_permutation(6, 4)
+    expected = count_ppm(PpmInstance(sigma, pattern))
+    assert expected == 87
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    assert count_ppm(PpmInstance(sigma, pattern), threads=10**9) == expected
+    argv = ["count", "--sigma", format_permutation(sigma), "--pattern", format_permutation(pattern)]
+    assert cli.main(argv + ["--threads", "1000000000"]) == 0
+    assert capsys.readouterr().out == f"{expected}\n"
 
 
 def test_detect_worked_examples():
@@ -405,36 +401,6 @@ def test_detect_prunes_empty_prefixes(monkeypatch):
         if dp.count_respecting(planted, d)
     )
     assert found and visited[-1] == first_hit
-
-
-# -- block enumeration (parallel plumbing) -------------------------------------
-
-
-def test_unrank_matches_combinations():
-    for m, r in ((6, 3), (8, 2), (5, 5), (7, 1), (4, 0)):
-        combos = list(combinations(range(m), r))
-        for rank, combo in enumerate(combos):
-            assert _unrank_combination(rank, m, r) == list(combo)
-
-
-def test_advance_matches_combinations():
-    for m, r in ((6, 3), (8, 2), (5, 5)):
-        combos = list(combinations(range(m), r))
-        cur = list(combos[0])
-        seen = [tuple(cur)]
-        while _advance_combination(cur, m):
-            seen.append(tuple(cur))
-        assert seen == combos
-
-
-def test_block_values_cover_stream_exactly():
-    for n, k in ((9, 5), (12, 7), (10, 10), (5, 1)):
-        full = [g.values for g in enumerate_guesses(n, k)]
-        for blocks in (1, 2, 3, 7):
-            got = []
-            for start, stop in _block_bounds(family_size(n, k), blocks):
-                got.extend(_guess_block_values(n, k, start, stop))
-            assert got == full
 
 
 # -- lowerbound_family ---------------------------------------------------------
