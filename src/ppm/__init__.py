@@ -29,7 +29,7 @@ from .core import (
     respects,
     validate_decomposition,
 )
-from .dp import DpStats, SegmentValues, count_respecting, segment_values
+from .dp import DpStats, count_respecting
 from .oracle import bkm_count, brute_force_count, brute_force_enumerate
 from .rng import SplitMix64, random_permutation
 from .solver import (
@@ -63,7 +63,6 @@ __all__ = [
     "PpmError",
     "PpmInstance",
     "SegmentDecomposition",
-    "SegmentValues",
     "SplitMix64",
     "bkm_count",
     "brute_force_count",
@@ -82,6 +81,5 @@ __all__ = [
     "pattern_of",
     "random_permutation",
     "respects",
-    "segment_values",
     "validate_decomposition",
 ]

@@ -13,7 +13,6 @@ import sys
 import time
 from dataclasses import dataclass
 from math import comb
-from pathlib import Path
 
 from . import oracle, selftest, solver
 from .core import (
@@ -32,6 +31,10 @@ EXIT_USAGE = 2
 
 # Largest `gen --n`: a permutation of 10**6 values takes about 3 s to draw.
 GEN_MAX_N = 10**6
+# Largest instance file read: two lines of the largest permutation `gen`
+# prints. A line of 1..N holds N - 1 spaces, a newline and, per digit
+# place d, one digit for each value of at least d + 1 digits.
+FILE_MAX_BYTES = 2 * (GEN_MAX_N + sum(GEN_MAX_N - 10**d + 1 for d in range(len(str(GEN_MAX_N)))))
 
 _ALGOS = ("fast", "bkm", "brute")
 _THREADS_HELP = "accepted for compatibility: must be >= 1, otherwise ignored"
@@ -39,33 +42,33 @@ _THREADS_HELP = "accepted for compatibility: must be >= 1, otherwise ignored"
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything one invocation needs, independent of argparse."""
+    """One invocation, independent of argparse; fields are the flags' destinations and defaults."""
 
-    algorithm: str = "fast"
-    sigma_text: str | None = None
-    sigma_path: str | None = None
-    pattern_text: str | None = None
-    pattern_path: str | None = None
+    algo: str = "fast"
+    sigma: str | None = None
+    sigma_file: str | None = None
+    pattern: str | None = None
+    pattern_file: str | None = None
     seed: int = 0
     threads: int = 1
     n: int | None = None
     max_n: int = 6
-    repetitions: int = 5
+    reps: int = 5
     pairs: tuple[tuple[int, int], ...] = ()
 
 
 def cmd_count(cfg: RunConfig) -> int:
     instance = _load_instance(cfg)
-    print(_count_with(cfg.algorithm, instance, cfg.threads))
+    print(_count_with(cfg.algo, instance, cfg.threads))
     return EXIT_OK
 
 
 def cmd_detect(cfg: RunConfig) -> int:
     instance = _load_instance(cfg)
-    if cfg.algorithm == "fast":
+    if cfg.algo == "fast":
         found = solver.detect_ppm(instance)
     else:
-        found = _count_with(cfg.algorithm, instance, cfg.threads) > 0
+        found = _count_with(cfg.algo, instance, cfg.threads) > 0
     print("true" if found else "false")
     return EXIT_OK
 
@@ -99,12 +102,12 @@ def cmd_bench(cfg: RunConfig) -> int:
         )
         timings = []
         count = 0
-        for _rep in range(cfg.repetitions):
+        for _rep in range(cfg.reps):
             start = time.perf_counter_ns()
-            count = _count_with(cfg.algorithm, instance, cfg.threads)
+            count = _count_with(cfg.algo, instance, cfg.threads)
             timings.append(time.perf_counter_ns() - start)
-        decompositions = _decomposition_bound(cfg.algorithm, n, k)
-        print(f"{cfg.algorithm},{n},{k},{decompositions},{count},{int(statistics.median(timings))}")
+        decompositions = _decomposition_bound(cfg.algo, n, k)
+        print(f"{cfg.algo},{n},{k},{decompositions},{count},{int(statistics.median(timings))}")
     return EXIT_OK
 
 
@@ -128,8 +131,8 @@ def _decomposition_bound(algorithm: str, n: int, k: int) -> int:
 
 def _load_instance(cfg: RunConfig) -> PpmInstance:
     return PpmInstance(
-        _load_permutation(cfg.sigma_text, cfg.sigma_path, line=1, role="--sigma"),
-        _load_permutation(cfg.pattern_text, cfg.pattern_path, line=2, role="--pattern"),
+        _load_permutation(cfg.sigma, cfg.sigma_file, line=1, role="--sigma"),
+        _load_permutation(cfg.pattern, cfg.pattern_file, line=2, role="--pattern"),
     )
 
 
@@ -138,8 +141,14 @@ def _load_permutation(text: str | None, path: str | None, line: int, role: str) 
         return parse_permutation(text)
     if path is None:
         raise EmptyInput(f"missing {role} (inline text or {role}-file)")
+    with open(path, "rb") as fh:
+        data = fh.read(FILE_MAX_BYTES + 1)
+    if len(data) > FILE_MAX_BYTES:
+        raise PpmError(
+            f"{path}: over {FILE_MAX_BYTES} bytes, two lines of a gen --n {GEN_MAX_N} permutation"
+        )
     try:
-        raw = Path(path).read_text(encoding="utf-8")
+        raw = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise PpmError(f"{path}: not UTF-8 text (invalid byte at offset {exc.start})") from exc
     lines = [ln for ln in raw.splitlines() if ln.strip()]
@@ -170,14 +179,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_instance_flags(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--algo", choices=_ALGOS, default="fast")
+        p.add_argument("--algo", choices=_ALGOS)
         g1 = p.add_mutually_exclusive_group(required=True)
         g1.add_argument("--sigma", help="text permutation, one-line notation")
         g1.add_argument("--sigma-file", help="file with sigma on its first line")
         g2 = p.add_mutually_exclusive_group(required=True)
         g2.add_argument("--pattern", help="pattern permutation, one-line notation")
         g2.add_argument("--pattern-file", help="file with the pattern on its second line (or only line)")
-        p.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
+        p.add_argument("--threads", type=int, help=_THREADS_HELP)
 
     p_count = sub.add_parser("count", help="print the exact number of occurrences")
     add_instance_flags(p_count)
@@ -187,34 +196,26 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gen = sub.add_parser("gen", help="print a seeded uniformly random permutation")
     p_gen.add_argument("--n", type=int, required=True)
-    p_gen.add_argument("--seed", type=int, default=0)
+    p_gen.add_argument("--seed", type=int)
 
     p_self = sub.add_parser("selftest", help="run the built-in invariant suites")
-    p_self.add_argument("--max-n", type=int, default=6)
+    p_self.add_argument("--max-n", type=int)
 
     p_bench = sub.add_parser("bench", help="time counting runs, CSV to stdout")
     p_bench.add_argument("--pairs", required=True, help="comma list of n:k")
-    p_bench.add_argument("--algo", choices=_ALGOS, default="fast")
-    p_bench.add_argument("--seed", type=int, default=0)
-    p_bench.add_argument("--reps", type=int, default=5)
-    p_bench.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
+    p_bench.add_argument("--algo", choices=_ALGOS)
+    p_bench.add_argument("--seed", type=int)
+    p_bench.add_argument("--reps", type=int)
+    p_bench.add_argument("--threads", type=int, help=_THREADS_HELP)
     return parser
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        algorithm=getattr(args, "algo", "fast"),
-        sigma_text=getattr(args, "sigma", None),
-        sigma_path=getattr(args, "sigma_file", None),
-        pattern_text=getattr(args, "pattern", None),
-        pattern_path=getattr(args, "pattern_file", None),
-        seed=getattr(args, "seed", 0),
-        threads=getattr(args, "threads", 1),
-        n=getattr(args, "n", None),
-        max_n=getattr(args, "max_n", 6),
-        repetitions=getattr(args, "reps", 5),
-        pairs=_parse_pairs(args.pairs) if getattr(args, "pairs", None) else (),
-    )
+    # A flag left out parses to None and keeps its RunConfig default.
+    given = {name: value for name, value in vars(args).items() if value is not None}
+    del given["command"]
+    given["pairs"] = _parse_pairs(given["pairs"]) if given.get("pairs") else ()
+    return RunConfig(**given)
 
 
 _COMMANDS = {
@@ -250,8 +251,8 @@ def _validate_config(cfg: RunConfig) -> None:
         raise PpmError(f"--n must be in [1, {GEN_MAX_N}], got {cfg.n}")
     if not 1 <= cfg.max_n <= selftest.MAX_N:
         raise PpmError(f"--max-n must be in [1, {selftest.MAX_N}], got {cfg.max_n}")
-    if cfg.repetitions < 1:
-        raise PpmError(f"--reps must be >= 1, got {cfg.repetitions}")
+    if cfg.reps < 1:
+        raise PpmError(f"--reps must be >= 1, got {cfg.reps}")
     for n, k in cfg.pairs:
         if not 1 <= k <= n:
             raise PpmError(f"bad pair n={n} k={k}, need 1 <= k <= n")

@@ -40,9 +40,6 @@ from .core import (
     validate_decomposition,
 )
 
-# Sorted text values per segment, indexed by pattern position.
-SegmentValues = tuple[tuple[int, ...], ...]
-
 
 @dataclass
 class DpStats:
@@ -61,17 +58,10 @@ class DpStats:
         return self.cell_writes + self.cursor_advances
 
 
-def segment_values(sigma: Permutation, d: SegmentDecomposition) -> SegmentValues:
-    """Sorted text values on each segment."""
-    if d.n != len(sigma):
-        raise LengthMismatch(f"decomposition is over [1, {d.n}], text has length {len(sigma)}")
-    validate_decomposition(d)
-    return tuple(tuple(b) for b in _segment_value_buckets(sigma, d.segments))
-
-
 def _segment_value_buckets(
     sigma: Permutation, segments: Sequence[tuple[int, int]]
 ) -> list[list[int]]:
+    """Sorted text values on each segment, indexed by pattern position."""
     sv = sigma.values
     return [sorted(sv[lo - 1:hi]) for lo, hi in segments]
 

@@ -2,12 +2,15 @@
 
 Run with `pytest tests/test_acceptance.py -v` for one pass/fail line per
 criterion (add -s to see the explicit criterion lines too). The corpora
-and tolerances are pinned here and are not meant to be loosened:
+and tolerances are pinned here and are not meant to be loosened.
+Criteria 3-6 run the invariant checks of `ppm.selftest`, the same ones
+`ppm selftest` runs on smaller corpora:
 
     1. worked example: exact count and the exact occurrence list, < 1 ms
     2. fixed decomposition vectors (induced and canonical agree)
-    3. count_ppm = bkm_count = brute_force_count on every instance with
-       n <= 6 and on 10^4 seeded random instances with 7 <= n <= 12
+    3. count_ppm = bkm_count = brute_force_count, and detect_ppm reports
+       count > 0, on every instance with n <= 6 (647,773) and on 10^4
+       seeded random instances with 7 <= n <= 12
     4. every occurrence (n <= 6, all instances) respects exactly one
        family member, namely its canonical decomposition
     5. family size is binom(n//2, k//2) for all n <= 20, members valid
@@ -22,42 +25,24 @@ and tolerances are pinned here and are not meant to be loosened:
 
 import random
 import time
-from itertools import permutations
-from math import comb
+from itertools import chain
 
-from ppm import cli, oracle, solver
-from ppm.core import (
-    Embedding,
-    Permutation,
-    PpmInstance,
-    format_permutation,
-    respects,
-)
+from ppm import cli, selftest
+from ppm.core import Embedding, Permutation, PpmInstance, format_permutation, respects
 from ppm.dp import DpStats, count_respecting
-from ppm.oracle import bkm_count, brute_force_count, brute_force_enumerate
+from ppm.oracle import brute_force_enumerate
 from ppm.rng import random_permutation
 from ppm.solver import (
     EvenGuess,
     canonical_decomposition,
     count_ppm,
     decomposition_of_guess,
-    enumerate_guesses,
     lowerbound_family,
 )
 
 
 def _report(criterion: str) -> None:
     print(f"[acceptance] {criterion}: pass")
-
-
-def _random_instance(rng: random.Random, n: int, k: int | None = None) -> PpmInstance:
-    if k is None:
-        k = rng.randint(1, n)
-    sigma = list(range(1, n + 1))
-    pat = list(range(1, k + 1))
-    rng.shuffle(sigma)
-    rng.shuffle(pat)
-    return PpmInstance(Permutation(tuple(sigma)), Permutation(tuple(pat)))
 
 
 def test_criterion_1_worked_example():
@@ -88,74 +73,31 @@ def test_criterion_2_decomposition_vectors():
     _report("criterion 2 (decomposition vectors)")
 
 
-def test_criterion_3_oracle_equivalence(perm_table):
-    checked = 0
-    for n in range(1, 7):
-        sigmas = perm_table[n]
-        for k in range(1, n + 1):
-            for pat in perm_table[k]:
-                for sig in sigmas:
-                    inst = PpmInstance(sig, pat)
-                    fast = count_ppm(inst)
-                    assert fast == bkm_count(inst) == brute_force_count(inst), (
-                        f"disagreement on sigma={sig.values} pattern={pat.values}"
-                    )
-                    checked += 1
-    assert checked == sum(
-        len(perm_table[n]) * len(perm_table[k])
-        for n in range(1, 7)
-        for k in range(1, n + 1)
+def test_criterion_3_oracle_equivalence():
+    corpus = chain(
+        selftest.exhaustive_instances(6),
+        selftest.random_instances(random.Random(0xC3), 10_000, 7, 12),
     )
-
-    rng = random.Random(0xC3)
-    for _ in range(10_000):
-        inst = _random_instance(rng, rng.randint(7, 12))
-        fast = count_ppm(inst)
-        assert fast == bkm_count(inst) == brute_force_count(inst), (
-            f"disagreement on sigma={inst.sigma.values} pattern={inst.pattern.values}"
-        )
+    detail = selftest.check_routes_agree(corpus)
+    assert not detail, detail
     _report("criterion 3 (oracle equivalence, exhaustive n<=6 + 10^4 random)")
 
 
-def test_criterion_4_exactly_once_cover(perm_table):
-    for n in range(1, 7):
-        sigmas = perm_table[n]
-        for k in range(1, n + 1):
-            family = [
-                decomposition_of_guess(g, n, k) for g in enumerate_guesses(n, k)
-            ]
-            for pat in perm_table[k]:
-                for sig in sigmas:
-                    inst = PpmInstance(sig, pat)
-                    for f in brute_force_enumerate(inst):
-                        hits = [d for d in family if respects(f, d)]
-                        assert len(hits) == 1, (
-                            f"{len(hits)} members cover f={f.values} on "
-                            f"sigma={sig.values} pattern={pat.values}"
-                        )
-                        assert hits[0] == canonical_decomposition(f, n)
+def test_criterion_4_exactly_once_cover():
+    detail = selftest.check_unique_cover(selftest.exhaustive_instances(6))
+    assert not detail, detail
     _report("criterion 4 (exactly-once cover, exhaustive n<=6)")
 
 
 def test_criterion_5_family_cardinality():
-    from ppm.core import validate_decomposition
-
-    for n in range(1, 21):
-        for k in range(1, n + 1):
-            count = 0
-            for g in enumerate_guesses(n, k):
-                validate_decomposition(decomposition_of_guess(g, n, k))
-                count += 1
-            assert count == comb(n // 2, k // 2), f"family size off at n={n} k={k}"
+    detail = selftest.check_family(20)
+    assert not detail, detail
     _report("criterion 5 (family cardinality, n<=20)")
 
 
 def test_criterion_6_lowerbound_construction():
-    for n in range(1, 21):
-        for k in range(1, n + 1):
-            if k // 2 > (n - 1) // 2:
-                continue
-            assert len(lowerbound_family(n, k)) == comb((n - 1) // 2, k // 2)
+    detail = selftest.check_lowerbound(20)
+    assert not detail, detail
     assert len(lowerbound_family(8, 5)) == 3
     _report("criterion 6 (lower-bound construction, n<=20)")
 
@@ -168,8 +110,7 @@ def test_criterion_7_linear_inner_loop():
             sigma = random_permutation(n, rng.getrandbits(64))
             pattern = random_permutation(k, rng.getrandbits(64))
             inst = PpmInstance(sigma, pattern)
-            anchors = tuple(sorted(2 * c for c in rng.sample(range(1, n // 2 + 1), k // 2)))
-            d = decomposition_of_guess(EvenGuess(anchors), n, k)
+            d = selftest.random_family_decomposition(rng, n, k)
             stats = DpStats()
             count_respecting(inst, d, stats=stats)
             assert stats.total <= 4 * (n + k), (

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import ppm
-from ppm import cli, dp, selftest
+from ppm import cli, dp, selftest, solver
 from ppm.core import parse_permutation
 from ppm.rng import random_permutation
 
@@ -153,6 +153,45 @@ def test_non_utf8_file_is_usage_error(tmp_path, capsys):
     assert err.startswith("ppm:") and str(bad) in err and err.count("\n") == 1
 
 
+def test_oversized_file_is_usage_error(tmp_path, capsys, monkeypatch):
+    reads = []
+
+    class CountingReader:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def read(self, size=-1):
+            data = self.fh.read(size)
+            reads.append(len(data))
+            return data
+
+    def counting_open(path, mode):
+        return CountingReader(open(path, mode))
+
+    monkeypatch.setattr(cli, "open", counting_open, raising=False)
+    code, out, err = run_cli(capsys, "count", "--sigma-file", "/dev/zero", "--pattern", "1")
+    assert (code, out) == (2, "")
+    assert err.startswith("ppm: /dev/zero: over ") and err.count("\n") == 1
+    assert reads == [cli.FILE_MAX_BYTES + 1]
+    # The cap is the size of two lines that `gen --n GEN_MAX_N` prints.
+    assert cli.FILE_MAX_BYTES == 2 * len(" ".join(map(str, range(1, cli.GEN_MAX_N + 1))) + "\n")
+
+    # At the cap a file is read whole; one byte over it is refused.
+    inst = tmp_path / "instance.txt"
+    inst.write_text("3 2 5 4 1\n1 3 2\n")
+    argv = ("count", "--sigma-file", str(inst), "--pattern-file", str(inst))
+    monkeypatch.setattr(cli, "FILE_MAX_BYTES", inst.stat().st_size)
+    assert run_cli(capsys, *argv)[:2] == (0, "2\n")
+    monkeypatch.setattr(cli, "FILE_MAX_BYTES", inst.stat().st_size - 1)
+    assert run_cli(capsys, *argv)[:2] == (2, "")
+
+
 def test_mutually_exclusive_flags():
     with pytest.raises(SystemExit) as exc:
         cli.main(["count", "--sigma", "1", "--sigma-file", "x", "--pattern", "1"])
@@ -178,12 +217,31 @@ def test_threads_must_be_positive(capsys):
 # -- selftest -------------------------------------------------------------------------
 
 
+SELFTEST_PASS = "".join(
+    f"{name}: pass\n"
+    for name in (
+        "parse-roundtrip",
+        "solution-two-routes",
+        "respects-monotone",
+        "dp-matches-enumeration",
+        "unique-cover",
+        "family-size",
+        "lowerbound-size",
+        "algorithms-agree",
+        "gen-deterministic",
+    )
+)
+
+
 def test_selftest_passes_fresh_build(capsys):
     code, out, err = run_cli(capsys, "selftest", "--max-n", "3")
-    assert code == 0, err
-    lines = out.splitlines()
-    assert "unique-cover: pass" in lines
-    assert all(line.endswith(": pass") for line in lines)
+    assert (code, out, err) == (0, SELFTEST_PASS, "")
+
+
+def test_exhaustive_corpus_is_complete():
+    # 19,213 = sum over n <= 5 of n! * (1! + ... + n!), each pair once.
+    pairs = [(i.sigma.values, i.pattern.values) for i in selftest.exhaustive_instances(5)]
+    assert len(pairs) == len(set(pairs)) == 19_213
 
 
 def test_selftest_rejects_max_n_out_of_range(capsys):
@@ -224,6 +282,17 @@ def test_selftest_catches_broken_merge_cursor(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "selftest", "--max-n", "2")
     assert code == 1
     assert any(line.endswith(": fail") for line in out.splitlines())
+
+
+def test_selftest_catches_detect_mutant(capsys, monkeypatch):
+    # Mutant: detection demands two occurrences, so it misses every single one.
+    monkeypatch.setattr(solver, "detect_ppm", lambda instance: solver.count_ppm(instance) > 1)
+    detail = selftest.check_routes_agree(selftest.exhaustive_instances(2))
+    assert detail.startswith("fast=1 bkm=1 brute=1 detect=False on ")
+    code, out, err = run_cli(capsys, "selftest", "--max-n", "2")
+    assert code == 1
+    assert "algorithms-agree: fail" in out.splitlines()
+    assert "detect=False" in err
 
 
 # -- bench ------------------------------------------------------------------------------
@@ -298,6 +367,12 @@ def test_process_usage_error_exit_code():
     assert proc.returncode == 2
     assert proc.stdout == b""
     assert b"ppm:" in proc.stderr
+
+
+def test_process_optimized_mode_selftest_passes():
+    # Under -O no invariant check may lean on an assert.
+    proc = _run_proc("selftest", python_flags=("-O",))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, SELFTEST_PASS.encode(), b"")
 
 
 def test_process_optimized_mode_keeps_checks():

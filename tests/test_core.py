@@ -34,6 +34,7 @@ from ppm.core import (
     respects,
     validate_decomposition,
 )
+from ppm.selftest import random_instance
 
 
 # -- parsing and formatting --------------------------------------------------
@@ -146,14 +147,8 @@ def test_is_solution_position_beyond_text():
 def test_is_solution_matches_rank_route_random():
     rng = random.Random(11)
     for _ in range(500):
-        n = rng.randint(1, 10)
-        k = rng.randint(1, n)
-        sigma = list(range(1, n + 1))
-        pat = list(range(1, k + 1))
-        rng.shuffle(sigma)
-        rng.shuffle(pat)
-        inst = PpmInstance(Permutation(tuple(sigma)), Permutation(tuple(pat)))
-        f = Embedding(tuple(sorted(rng.sample(range(1, n + 1), k))))
+        inst = random_instance(rng, rng.randint(1, 10))
+        f = Embedding(tuple(sorted(rng.sample(range(1, inst.n + 1), inst.k))))
         via_ranks = pattern_of([inst.sigma(p) for p in f.values]) == inst.pattern
         assert is_solution(inst, f) == via_ranks
 

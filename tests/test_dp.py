@@ -1,7 +1,7 @@
 """Confined counting: the linear-time layer-by-layer counter.
 
 Claims checked here:
-    - segment_values reads each segment's text values in sorted order
+    - the bucket pass reads each segment's text values in sorted order
     - count_respecting equals filtering the exhaustive enumeration by
       respects, exhaustively at small n and on random pairs up to n = 12
     - the run stays linear: cell writes and cursor advances stay within
@@ -11,7 +11,6 @@ Claims checked here:
 """
 
 import random
-from itertools import permutations
 
 import pytest
 
@@ -24,45 +23,31 @@ from ppm.core import (
     SegmentDecomposition,
     respects,
 )
-from ppm.dp import DpStats, count_respecting, segment_values
+from ppm.dp import DpStats, _segment_value_buckets, count_respecting
+from ppm.selftest import random_family_decomposition, random_instance
 
 
 def _inst(sigma, pattern):
     return PpmInstance(Permutation(tuple(sigma)), Permutation(tuple(pattern)))
 
 
-def _random_instance(rng, n):
-    k = rng.randint(1, n)
-    sigma = list(range(1, n + 1))
-    pat = list(range(1, k + 1))
-    rng.shuffle(sigma)
-    rng.shuffle(pat)
-    return _inst(sigma, pat)
-
-
-def _random_family_decomposition(rng, n, k):
-    anchors = tuple(sorted(2 * c for c in rng.sample(range(1, n // 2 + 1), k // 2)))
-    return solver.decomposition_of_guess(solver.EvenGuess(anchors), n, k)
-
-
 def _oracle_count(inst, d):
     return sum(1 for f in oracle.brute_force_enumerate(inst) if respects(f, d))
 
 
-# -- segment_values ----------------------------------------------------------
+# -- segment values: the bucket pass -----------------------------------------
 
 
 def test_segment_values_worked_example():
     sigma = Permutation((8, 1, 3, 9, 5, 4, 2, 7, 6))
-    d = SegmentDecomposition(((1, 2), (2, 3), (3, 6), (6, 7), (7, 9)), 9)
-    assert segment_values(sigma, d) == ((1, 8), (1, 3), (3, 4, 5, 9), (2, 4), (2, 6, 7))
+    segments = ((1, 2), (2, 3), (3, 6), (6, 7), (7, 9))
+    want = [[1, 8], [1, 3], [3, 4, 5, 9], [2, 4], [2, 6, 7]]
+    assert _segment_value_buckets(sigma, segments) == want
 
 
 def test_segment_values_trivial():
-    assert segment_values(Permutation((1,)), SegmentDecomposition(((1, 1),), 1)) == ((1,),)
-    assert segment_values(
-        Permutation((2, 1)), SegmentDecomposition(((1, 1), (2, 2)), 2)
-    ) == ((2,), (1,))
+    assert _segment_value_buckets(Permutation((1,)), ((1, 1),)) == [[1]]
+    assert _segment_value_buckets(Permutation((2, 1)), ((1, 1), (2, 2))) == [[2], [1]]
 
 
 def test_segment_values_sorted_and_sized():
@@ -72,19 +57,12 @@ def test_segment_values_sorted_and_sized():
         k = rng.randint(1, n)
         sigma = list(range(1, n + 1))
         rng.shuffle(sigma)
-        d = _random_family_decomposition(rng, n, k)
-        vals = segment_values(Permutation(tuple(sigma)), d)
+        d = random_family_decomposition(rng, n, k)
+        vals = _segment_value_buckets(Permutation(tuple(sigma)), d.segments)
         assert sum(len(v) for v in vals) <= n + k - 1
         for (lo, hi), v in zip(d.segments, vals):
             assert list(v) == sorted(v)
             assert len(v) == hi - lo + 1
-
-
-def test_segment_values_propagates_validation():
-    with pytest.raises(EmptySegment):
-        segment_values(Permutation((1, 2)), SegmentDecomposition(((2, 1),), 2))
-    with pytest.raises(LengthMismatch):
-        segment_values(Permutation((1, 2)), SegmentDecomposition(((1, 1),), 3))
 
 
 # -- count_respecting: frozen vectors ----------------------------------------
@@ -142,8 +120,8 @@ def test_matches_enumeration_random_pairs():
     rng = random.Random(17)
     for _ in range(1000):
         n = rng.randint(2, 12)
-        inst = _random_instance(rng, n)
-        d = _random_family_decomposition(rng, n, inst.k)
+        inst = random_instance(rng, n)
+        d = random_family_decomposition(rng, n, inst.k)
         assert count_respecting(inst, d) == _oracle_count(inst, d)
 
 
@@ -153,7 +131,7 @@ def test_matches_enumeration_on_point_gap_decompositions():
     checked = 0
     while checked < 300:
         n = rng.randint(2, 12)
-        inst = _random_instance(rng, n)
+        inst = random_instance(rng, n)
         anchors = tuple(sorted(rng.sample(range(1, n + 1), inst.k // 2)))
         segs = oracle._bkm_segments(anchors, n, inst.k)
         if segs is None:
@@ -170,8 +148,8 @@ def test_stats_stay_linear_random():
     rng = random.Random(23)
     for _ in range(200):
         n = rng.randint(2, 40)
-        inst = _random_instance(rng, n)
-        d = _random_family_decomposition(rng, n, inst.k)
+        inst = random_instance(rng, n)
+        d = random_family_decomposition(rng, n, inst.k)
         stats = DpStats()
         count_respecting(inst, d, stats=stats)
         assert stats.cell_writes <= n + inst.k - 1
@@ -196,7 +174,7 @@ def test_stats_stop_at_first_zero_level():
     d = SegmentDecomposition(((1, 2), (2, 3), (3, 6)), 6)
     stats = DpStats()
     assert count_respecting(inst, d, stats=stats) == 0
-    assert stats.cell_writes == 4 < sum(map(len, segment_values(inst.sigma, d)))
+    assert stats.cell_writes == 4 < sum(map(len, _segment_value_buckets(inst.sigma, d.segments)))
 
 
 # -- independence from uncovered positions -----------------------------------
@@ -206,8 +184,8 @@ def test_result_ignores_uncovered_values():
     rng = random.Random(29)
     for _ in range(200):
         n = rng.randint(3, 12)
-        inst = _random_instance(rng, n)
-        d = _random_family_decomposition(rng, n, inst.k)
+        inst = random_instance(rng, n)
+        d = random_family_decomposition(rng, n, inst.k)
         covered = sorted({p for lo, hi in d.segments for p in range(lo, hi + 1)})
 
         reshuffled = list(range(1, n + 1))

@@ -30,19 +30,11 @@ from ppm.oracle import (
     brute_force_count,
     brute_force_enumerate,
 )
+from ppm.selftest import random_instance
 
 
 def _inst(sigma, pattern):
     return PpmInstance(Permutation(tuple(sigma)), Permutation(tuple(pattern)))
-
-
-def _random_instance(rng, n):
-    k = rng.randint(1, n)
-    sigma = list(range(1, n + 1))
-    pat = list(range(1, k + 1))
-    rng.shuffle(sigma)
-    rng.shuffle(pat)
-    return _inst(sigma, pat)
 
 
 # -- brute force ---------------------------------------------------------------
@@ -62,7 +54,7 @@ def test_enumerate_trivial_cases():
 def test_enumerate_is_sorted_and_complete():
     rng = random.Random(47)
     for _ in range(200):
-        inst = _random_instance(rng, rng.randint(1, 9))
+        inst = random_instance(rng, rng.randint(1, 9))
         sols = brute_force_enumerate(inst)
         vals = [f.values for f in sols]
         assert vals == sorted(set(vals))
@@ -105,7 +97,7 @@ def test_bkm_worked_examples():
 def test_bkm_equals_other_routes_random():
     rng = random.Random(53)
     for _ in range(200):
-        inst = _random_instance(rng, rng.randint(1, 9))
+        inst = random_instance(rng, rng.randint(1, 9))
         assert bkm_count(inst) == brute_force_count(inst) == solver.count_ppm(inst)
 
 
@@ -114,7 +106,7 @@ def test_bkm_guesses_partition_solutions():
 
     rng = random.Random(59)
     for _ in range(100):
-        inst = _random_instance(rng, rng.randint(2, 8))
+        inst = random_instance(rng, rng.randint(2, 8))
         n, k = inst.n, inst.k
         decomps = []
         for anchors in combinations(range(1, n + 1), k // 2):

@@ -46,6 +46,7 @@ from ppm.core import (
     validate_decomposition,
 )
 from ppm.rng import random_permutation
+from ppm.selftest import random_instance
 from ppm.solver import (
     EvenGuess,
     c_floor,
@@ -216,13 +217,7 @@ def test_count_closed_forms():
 def test_count_random_against_oracle():
     rng = random.Random(37)
     for _ in range(300):
-        n = rng.randint(1, 10)
-        k = rng.randint(1, n)
-        sigma = list(range(1, n + 1))
-        pat = list(range(1, k + 1))
-        rng.shuffle(sigma)
-        rng.shuffle(pat)
-        inst = _inst(sigma, pat)
+        inst = random_instance(rng, rng.randint(1, 10))
         assert count_ppm(inst) == oracle.brute_force_count(inst)
 
 
@@ -252,13 +247,7 @@ def test_sum_is_partition_invariant():
 def test_threads_reproduce_sequential(threads):
     rng = random.Random(41)
     for _ in range(20):
-        n = rng.randint(2, 14)
-        k = rng.randint(1, n)
-        sigma = list(range(1, n + 1))
-        pat = list(range(1, k + 1))
-        rng.shuffle(sigma)
-        rng.shuffle(pat)
-        inst = _inst(sigma, pat)
+        inst = random_instance(rng, rng.randint(2, 14))
         assert count_ppm(inst, threads=threads) == count_ppm(inst)
 
 
@@ -308,13 +297,7 @@ def test_detect_short_circuits(monkeypatch):
 def test_detect_matches_count_random():
     rng = random.Random(43)
     for _ in range(200):
-        n = rng.randint(1, 9)
-        k = rng.randint(1, n)
-        sigma = list(range(1, n + 1))
-        pat = list(range(1, k + 1))
-        rng.shuffle(sigma)
-        rng.shuffle(pat)
-        inst = _inst(sigma, pat)
+        inst = random_instance(rng, rng.randint(1, 9))
         assert detect_ppm(inst) == (count_ppm(inst) > 0)
 
 
