@@ -12,7 +12,6 @@ import statistics
 import sys
 import time
 from dataclasses import dataclass
-from math import comb
 
 from . import oracle, selftest, solver
 from .core import (
@@ -35,6 +34,11 @@ GEN_MAX_N = 10**6
 # prints. A line of 1..N holds N - 1 spaces, a newline and, per digit
 # place d, one digit for each value of at least d + 1 digits.
 FILE_MAX_BYTES = 2 * (GEN_MAX_N + sum(GEN_MAX_N - 10**d + 1 for d in range(len(str(GEN_MAX_N)))))
+# Most decompositions count, detect and bench may face. One confined count
+# took 32-57 us at n = 56-60, k = n/2 (random and identity texts, 2 vCPU,
+# Python 3.11), where binom(n//2, k//2) reaches this size: the largest
+# admitted run takes about 7 * 10**7 * 50 us, an hour.
+FAMILY_MAX = 7 * 10**7
 
 _ALGOS = ("fast", "bkm", "brute")
 _THREADS_HELP = "accepted for compatibility: must be >= 1, otherwise ignored"
@@ -122,18 +126,35 @@ def _count_with(algorithm: str, instance: PpmInstance, threads: int) -> int:
 
 
 def _decomposition_bound(algorithm: str, n: int, k: int) -> int:
-    if algorithm == "fast":
-        return comb(n // 2, k // 2)
-    if algorithm == "bkm":
-        return comb(n, k // 2)
-    return 0
+    """Decompositions the algorithm faces, or FAMILY_MAX + 1 once past the budget.
+
+    binom(m, j) = binom(m, m - j) is built one factor at a time and grows
+    at each step, so it stops once past the budget: in full it takes
+    seconds at n = 10**6.
+    """
+    if algorithm == "brute":
+        return 0
+    m, j = (n // 2 if algorithm == "fast" else n), k // 2
+    size = 1
+    for i in range(min(j, m - j)):
+        size = size * (m - i) // (i + 1)
+        if size > FAMILY_MAX:
+            return FAMILY_MAX + 1
+    return size
+
+
+def _check_family(algorithm: str, n: int, k: int) -> None:
+    if _decomposition_bound(algorithm, n, k) > FAMILY_MAX:
+        raise PpmError(f"--algo {algorithm} on n={n} k={k} faces over {FAMILY_MAX} decompositions")
 
 
 def _load_instance(cfg: RunConfig) -> PpmInstance:
-    return PpmInstance(
+    instance = PpmInstance(
         _load_permutation(cfg.sigma, cfg.sigma_file, line=1, role="--sigma"),
         _load_permutation(cfg.pattern, cfg.pattern_file, line=2, role="--pattern"),
     )
+    _check_family(cfg.algo, instance.n, instance.k)
+    return instance
 
 
 def _load_permutation(text: str | None, path: str | None, line: int, role: str) -> Permutation:
@@ -256,6 +277,7 @@ def _validate_config(cfg: RunConfig) -> None:
     for n, k in cfg.pairs:
         if not 1 <= k <= n:
             raise PpmError(f"bad pair n={n} k={k}, need 1 <= k <= n")
+        _check_family(cfg.algo, n, k)
 
 
 if __name__ == "__main__":

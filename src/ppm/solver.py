@@ -14,15 +14,17 @@ count costs O(n) DP steps after an O(n log n) C-level sort, which gives
 the O*(2^(n/2)) total with O(n) memory: the family is streamed, never
 materialized.
 
-Counting sums over the whole family. Detection walks the same family in
-the same order but prunes it by anchor prefix: the first 2j segments of a
-member depend only on its first j anchors, and an occurrence confined to
-the member restricts to an occurrence of pattern positions 1..2j confined
-to those segments. When that prefix has no such occurrence, no member
-sharing the prefix counts anything, so the walk skips all of them and the
-answer stays exact. Pruning depends on the instance; where no prefix is
-empty the walk still visits all binom(n//2, k//2) members, so the worst
-case is unchanged.
+Counting and detection share one walk that updates a single anchor list
+in place, member by member. Counting sums over the whole family.
+Detection walks it in the same order but prunes it by anchor prefix: the
+first 2j segments of a member depend only on its first j anchors, and an
+occurrence confined to the member restricts to an occurrence of pattern
+positions 1..2j confined to those segments. Each member's prefixes are
+checked before its own confined count; when one has no such occurrence,
+no member sharing it counts anything, so the walk skips all of them and
+the answer stays exact. Pruning depends on the instance; where no prefix
+is empty the walk still visits all binom(n//2, k//2) members, so the
+worst case is unchanged.
 """
 
 from __future__ import annotations
@@ -142,20 +144,43 @@ def canonical_decomposition(f: Embedding, n: int) -> SegmentDecomposition:
     return decomposition_of_guess(g, n, k)
 
 
+def _advance(anchors: list[int], depth: int, n: int) -> int:
+    """Step the anchor walk to the next member, in the order of :func:`enumerate_guesses`,
+    that does not share a1..a_depth with the current one.
+
+    `anchors` holds a1..ar and is updated in place. Returns the 0-based
+    index of the shallowest anchor that moved, or -1 past the last member.
+    """
+    r = len(anchors)
+    last = 2 * (n // 2 - r)  # anchor i (0-based) runs up to last + 2 * (i + 1)
+    t = depth - 1
+    while t >= 0 and anchors[t] == last + 2 * (t + 1):
+        t -= 1
+    if t >= 0:
+        anchors[t] += 2
+        for i in range(t + 1, r):
+            anchors[i] = anchors[i - 1] + 2
+    return t
+
+
 def count_ppm(instance: PpmInstance, threads: int = 1) -> int:
     """Total number of occurrences of the pattern in the text.
 
-    Sums the confined counts over the whole anchor family, one member at a
-    time on the calling thread. `threads` is kept for compatibility: it
-    must be at least 1 and is otherwise ignored, since the pure-Python
-    counter holds the GIL and worker threads only slowed it down.
+    Sums the confined counts over the whole anchor family, one
+    ``dp.count_respecting`` call per member. `threads` is kept for
+    compatibility: it must be at least 1 and is otherwise ignored, since
+    the pure-Python counter holds the GIL and threads only slowed it down.
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
     n, k = instance.n, instance.k
+    r = k // 2
+    anchors = list(range(2, 2 * r + 1, 2))
     total = 0
-    for g in enumerate_guesses(n, k):
-        total += dp.count_respecting(instance, decomposition_of_guess(g, n, k))
+    moved = 0
+    while moved >= 0:
+        total += dp.count_respecting(instance, SegmentDecomposition(_anchor_segments(anchors, n, k), n))
+        moved = _advance(anchors, r, n)
     return total
 
 
@@ -164,50 +189,48 @@ def detect_ppm(instance: PpmInstance) -> bool:
 
     Walks the anchor family in the lexicographic order of
     :func:`enumerate_guesses` and returns True at the first member with a
-    nonzero confined count. After a member counts zero, the walk checks
-    the prefixes a1..aj of its anchors, shallowest first, for every depth
-    j whose subtree holds more than this member: an occurrence confined to
-    a member restricts to an occurrence of pattern positions 1..2j inside
-    the member's first 2j segments, which a1..aj alone fix. A prefix with
-    no such occurrence rules out every member that shares it, so the walk
-    skips them all and the answer stays exact. A prefix found to hold an
-    occurrence is not checked again until one of its anchors moves. On
-    instances where no prefix counts zero the walk still visits all
-    binom(n//2, k//2) members.
+    nonzero confined count, its leaf: one ``dp.count_respecting`` call.
+    Member 1 goes straight to its leaf. Each later member first has its
+    anchor prefixes a1..aj checked, shallowest first, for j < k//2: an
+    occurrence confined to a member restricts to one of pattern positions
+    1..2j inside the member's first 2j segments, which a1..aj alone fix.
+    An empty prefix rules out every member sharing it, so the walk skips
+    them all and the answer stays exact. A prefix found nonempty, with its
+    sorted segment values, is kept until one of its anchors moves. Where no
+    prefix is empty the walk still visits all binom(n//2, k//2) leaves.
     """
     n, k = instance.n, instance.k
     r = k // 2
-    last = 2 * (n // 2 - r)  # anchor i (0-based) runs up to last + 2 * (i + 1)
     sigma = instance.sigma
     pinv = instance.pattern.inverse_values
     orders: list[list[int] | None] = [None] * r  # orders[j - 1]: positions 1..2j by value
-    anchors = list(range(2, 2 * r + 1, 2))
+    buckets: list[list[int]] = []  # sorted values on segments 1..2 * checked
     checked = 0  # prefixes of depth 1..checked hold an occurrence
+    anchors = list(range(2, 2 * r + 1, 2))
+    if dp.count_respecting(instance, SegmentDecomposition(_anchor_segments(anchors, n, k), n)) > 0:
+        return True
+    depth = r
     while True:
-        segments = _anchor_segments(anchors, n, k)
-        if dp.count_respecting(instance, SegmentDecomposition(segments, n)) > 0:
-            return True
-        t = r - 1
-        while t >= 0 and anchors[t] == last + 2 * (t + 1):
-            t -= 1
-        if t < 0:
+        moved = _advance(anchors, depth, n)
+        if moved < 0:
             return False
-        # Depths 1..t have subtrees beyond this member; skip at the shallowest empty one.
-        buckets: list[list[int]] = []
-        while checked < t:
+        checked = min(checked, moved)
+        del buckets[2 * checked:]
+        segments = _anchor_segments(anchors, n, k)
+        depth = r
+        while checked < r - 1:
             width = 2 * checked + 2
-            buckets += dp._segment_value_buckets(sigma, segments[len(buckets):width])
+            buckets += dp._segment_value_buckets(sigma, segments[2 * checked:width])
             order = orders[checked]
             if order is None:
                 order = orders[checked] = [p for p in pinv if p <= width]
             if not dp._count_levels(buckets, order, None):
-                t = checked
+                depth = checked + 1
                 break
             checked += 1
-        anchors[t] += 2
-        for i in range(t + 1, r):
-            anchors[i] = anchors[i - 1] + 2
-        checked = min(checked, t)
+        else:
+            if dp.count_respecting(instance, SegmentDecomposition(segments, n)) > 0:
+                return True
 
 
 LOWERBOUND_CAP = 24

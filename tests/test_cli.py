@@ -14,7 +14,7 @@ import pytest
 
 import ppm
 from ppm import cli, dp, selftest, solver
-from ppm.core import parse_permutation
+from ppm.core import format_permutation, parse_permutation
 from ppm.rng import random_permutation
 
 
@@ -334,6 +334,47 @@ def test_bench_times_grow_with_n(capsys):
     assert code == 0
     medians = [int(line.split(",")[5]) for line in out.splitlines()[1:]]
     assert medians[0] < medians[1] < medians[2]
+
+
+# -- family budget ------------------------------------------------------------------------
+
+
+def test_family_budget_refuses_n200_pair(tmp_path, capsys):
+    # Without the budget each of these runs until killed.
+    inst = tmp_path / "instance.txt"
+    inst.write_text(
+        f"{format_permutation(random_permutation(200, 1))}\n{format_permutation(random_permutation(100, 2))}\n"
+    )
+    files = ("--sigma-file", str(inst), "--pattern-file", str(inst))
+    for cmd, algo in (("count", "fast"), ("count", "bkm"), ("detect", "fast"), ("detect", "bkm")):
+        code, out, err = run_cli(capsys, cmd, "--algo", algo, *files)
+        assert (code, out) == (2, "")
+        assert err == f"ppm: --algo {algo} on n=200 k=100 faces over {cli.FAMILY_MAX} decompositions\n"
+    # No bench pair starts, and no header is printed, when any pair is over.
+    assert run_cli(capsys, "bench", "--pairs", "8:4,200:100")[:2] == (2, "")
+    # The full binomial at the largest gen size takes seconds; the bound stops past the budget.
+    assert cli._decomposition_bound("bkm", cli.GEN_MAX_N, cli.GEN_MAX_N // 2) == cli.FAMILY_MAX + 1
+
+
+def test_family_budget_boundary(capsys, monkeypatch):
+    # The largest admitted k = n/2 pair and the next one, through the validator:
+    # a real run at the budget takes about an hour.
+    assert comb(28, 14) <= cli.FAMILY_MAX < comb(29, 14)
+    cli._validate_config(cli.RunConfig(pairs=((56, 28),)))
+    with pytest.raises(ppm.PpmError):
+        cli._validate_config(cli.RunConfig(pairs=((58, 29),)))
+    # A family exactly at the budget runs; one member more is refused.
+    instance = ("--sigma", "3 2 5 4 1", "--pattern", "1 3 2")
+    for algo, size in (("fast", comb(2, 1)), ("bkm", comb(5, 1)), ("brute", 0)):
+        monkeypatch.setattr(cli, "FAMILY_MAX", size)
+        assert run_cli(capsys, "count", "--algo", algo, *instance)[:2] == (0, "2\n")
+        assert run_cli(capsys, "detect", "--algo", algo, *instance)[:2] == (0, "true\n")
+        assert run_cli(capsys, "bench", "--algo", algo, "--pairs", "5:3", "--reps", "1")[0] == 0
+        if size:
+            monkeypatch.setattr(cli, "FAMILY_MAX", size - 1)
+            assert run_cli(capsys, "count", "--algo", algo, *instance)[0] == 2
+            assert run_cli(capsys, "detect", "--algo", algo, *instance)[0] == 2
+            assert run_cli(capsys, "bench", "--algo", algo, "--pairs", "5:3", "--reps", "1")[0] == 2
 
 
 # -- end to end through a real process ----------------------------------------------------

@@ -17,7 +17,10 @@ Claims checked here:
     - detect_ppm short-circuits at the first nonzero member, finds
       planted patterns and keeps its answer under the symmetries
       (n = 28..40), and prunes empty anchor prefixes while visiting
-      members in family order
+      members in family order, checking a member's prefixes before its
+      leaf
+    - count_ppm hands dp.count_respecting each family member once, in
+      family order
     - the lower-bound construction yields binom((n-1)//2, k//2) distinct
       valid members
 """
@@ -39,6 +42,7 @@ from ppm.core import (
     OutOfRange,
     Permutation,
     PpmInstance,
+    SegmentDecomposition,
     format_permutation,
     is_solution,
     pattern_of,
@@ -243,6 +247,22 @@ def test_sum_is_partition_invariant():
     assert sum(per_member[:2]) + sum(per_member[2:]) == total
 
 
+@pytest.mark.parametrize("n,k", [(1, 1), (2, 2), (7, 3), (9, 4), (10, 5), (12, 6), (13, 7), (16, 8)])
+def test_count_calls_dp_once_per_member_in_family_order(monkeypatch, n, k):
+    # The benchmark's traced run times one count_respecting call per member.
+    calls = []
+    real = dp.count_respecting
+
+    def counting(instance, d, stats=None):
+        calls.append(d)
+        return real(instance, d, stats)
+
+    monkeypatch.setattr(dp, "count_respecting", counting)
+    count_ppm(PpmInstance(random_permutation(n, 100 + n), random_permutation(k, 200 + k)))
+    assert len(calls) == family_size(n, k)
+    assert calls == [decomposition_of_guess(g, n, k) for g in enumerate_guesses(n, k)]
+
+
 @pytest.mark.parametrize("threads", [2, 3, 8])
 def test_threads_reproduce_sequential(threads):
     rng = random.Random(41)
@@ -384,6 +404,46 @@ def test_detect_prunes_empty_prefixes(monkeypatch):
         if dp.count_respecting(planted, d)
     )
     assert found and visited[-1] == first_hit
+
+
+def _prefix_count(inst, d, j):
+    """Occurrences of pattern positions 1..2j inside d's first 2j segments."""
+    prefix = PpmInstance(inst.sigma, pattern_of(inst.pattern.values[:2 * j]))
+    return dp.count_respecting(prefix, SegmentDecomposition(d.segments[:2 * j], inst.n))
+
+
+def test_detect_checks_prefixes_before_leaves(monkeypatch):
+    absent = PpmInstance(random_permutation(28, 28), random_permutation(14, 14))
+    found, visited = _detect_visits(monkeypatch, absent)
+    assert not found and len(visited) <= 2
+    # Member 1 is always the first leaf. Past it, a leaf is reached only
+    # through nonempty prefixes of every depth below k//2, and the leaf
+    # alone decides the member: with even k some such leaves count zero.
+    rng = random.Random(61)
+    later_leaves = zero_leaves = 0
+    for _ in range(40):
+        n = rng.randint(16, 20)
+        k = rng.randint(n // 4, n // 2)
+        inst = PpmInstance(random_permutation(n, rng.getrandbits(32)), random_permutation(k, rng.getrandbits(32)))
+        _, visited = _detect_visits(monkeypatch, inst)
+        assert visited[0] == decomposition_of_guess(next(enumerate_guesses(n, k)), n, k)
+        for d in visited[1:]:
+            assert all(_prefix_count(inst, d, j) for j in range(1, k // 2))
+            zero_leaves += k % 2 == 0 and dp.count_respecting(inst, d) == 0
+        later_leaves += len(visited) - 1
+    assert later_leaves > 100 and zero_leaves > 0
+
+
+def test_detect_matches_count_past_oracle():
+    rng = random.Random(62)
+    for i in range(200):
+        n = rng.randint(16, 20)
+        k = rng.randint(n // 4, n // 2)
+        if i % 2:
+            inst, _ = _planted(n, k, seed=rng.getrandbits(32))
+        else:
+            inst = PpmInstance(random_permutation(n, rng.getrandbits(32)), random_permutation(k, rng.getrandbits(32)))
+        assert detect_ppm(inst) == (count_ppm(inst) > 0)
 
 
 # -- lowerbound_family ---------------------------------------------------------
