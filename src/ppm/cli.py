@@ -39,6 +39,12 @@ FILE_MAX_BYTES = 2 * (GEN_MAX_N + sum(GEN_MAX_N - 10**d + 1 for d in range(len(s
 # Python 3.11), where binom(n//2, k//2) reaches this size: the largest
 # admitted run takes about 7 * 10**7 * 50 us, an hour.
 FAMILY_MAX = 7 * 10**7
+# One confined count is linear in n + k, so the same hour also caps the
+# run's work, decompositions * (n + k), at FAMILY_MAX * 84: the (56, 28)
+# run, the largest admitted one, at about 50 us / 84 = 0.6 us per unit.
+# The rate holds at n = 10**6, k = 2, where one count took 0.42-0.98 s,
+# 0.4-1 us per unit; its 5 * 10**5 members are refused by this cap alone.
+WORK_SPAN = 84
 
 _ALGOS = ("fast", "bkm", "brute")
 _THREADS_HELP = "accepted for compatibility: must be >= 1, otherwise ignored"
@@ -144,8 +150,14 @@ def _decomposition_bound(algorithm: str, n: int, k: int) -> int:
 
 
 def _check_family(algorithm: str, n: int, k: int) -> None:
-    if _decomposition_bound(algorithm, n, k) > FAMILY_MAX:
+    size = _decomposition_bound(algorithm, n, k)
+    if size > FAMILY_MAX:
         raise PpmError(f"--algo {algorithm} on n={n} k={k} faces over {FAMILY_MAX} decompositions")
+    if size * (n + k) > FAMILY_MAX * WORK_SPAN:
+        raise PpmError(
+            f"--algo {algorithm} on n={n} k={k} faces decompositions * (n + k) ="
+            f" {size * (n + k)}, over {FAMILY_MAX * WORK_SPAN}"
+        )
 
 
 def _load_instance(cfg: RunConfig) -> PpmInstance:

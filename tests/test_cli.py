@@ -377,6 +377,25 @@ def test_family_budget_boundary(capsys, monkeypatch):
             assert run_cli(capsys, "bench", "--algo", algo, "--pairs", "5:3", "--reps", "1")[0] == 2
 
 
+def test_work_budget_refuses_long_text_tiny_pattern(capsys, monkeypatch):
+    # 5 * 10**5 members of n + k = 10**6 + 2 each: days of work under the family budget.
+    def no_draw(*_args):
+        raise AssertionError("an instance was drawn")
+
+    monkeypatch.setattr(cli, "random_permutation", no_draw)
+    with pytest.raises(ppm.PpmError):
+        cli._validate_config(cli.RunConfig(pairs=((10**6, 2),)))
+    # The largest run the family budget admits is within the work budget too.
+    assert comb(28, 14) * (56 + 28) <= cli.FAMILY_MAX * cli.WORK_SPAN
+    cli._validate_config(cli.RunConfig(pairs=((56, 28),)))
+    code, out, err = run_cli(capsys, "bench", "--pairs", "1000000:2")
+    assert (code, out) == (2, "")
+    assert err == (
+        "ppm: --algo fast on n=1000000 k=2 faces decompositions * (n + k) ="
+        f" {5 * 10**5 * (10**6 + 2)}, over {cli.FAMILY_MAX * cli.WORK_SPAN}\n"
+    )
+
+
 # -- end to end through a real process ----------------------------------------------------
 
 

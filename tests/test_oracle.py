@@ -7,14 +7,18 @@ Claims checked here:
     - bkm_count equals both other routes, exhaustively small and random
     - each occurrence is consistent with exactly one surviving guess of
       the baseline (the guesses partition the occurrences)
+    - the baseline generates exactly the guesses _bkm_segments accepts,
+      in order, and brute force lists exactly the embeddings is_solution
+      accepts, in order
 """
 
 import random
+from itertools import combinations
 from math import comb
 
 import pytest
 
-from ppm import solver
+from ppm import dp, solver
 from ppm.core import (
     Embedding,
     InstanceTooLarge,
@@ -30,7 +34,8 @@ from ppm.oracle import (
     brute_force_count,
     brute_force_enumerate,
 )
-from ppm.selftest import random_instance
+from ppm.rng import random_permutation
+from ppm.selftest import exhaustive_instances, random_instance
 
 
 def _inst(sigma, pattern):
@@ -61,10 +66,19 @@ def test_enumerate_is_sorted_and_complete():
         for f in sols:
             assert is_solution(inst, f)
         # completeness: nothing outside the list is a solution
-        from itertools import combinations
-
         all_f = [Embedding(c) for c in combinations(range(1, inst.n + 1), inst.k)]
         assert sum(1 for f in all_f if is_solution(inst, f)) == len(sols)
+
+
+def test_enumerate_matches_definition_exhaustively():
+    # Ground truth against the definition, not against another route.
+    instances = list(exhaustive_instances(5))
+    assert len(instances) == 19_213
+    for inst in instances:
+        expected = [
+            c for c in combinations(range(1, inst.n + 1), inst.k) if is_solution(inst, Embedding(c))
+        ]
+        assert [f.values for f in brute_force_enumerate(inst)] == expected
 
 
 def test_count_examples():
@@ -101,9 +115,31 @@ def test_bkm_equals_other_routes_random():
         assert bkm_count(inst) == brute_force_count(inst) == solver.count_ppm(inst)
 
 
-def test_bkm_guesses_partition_solutions():
-    from itertools import combinations
+def test_bkm_counts_exactly_the_feasible_guesses(monkeypatch):
+    # The shifted enumeration generates, in order, the guesses whose
+    # segments _bkm_segments accepts: binom(n - k//2 - k%2, k//2) of them.
+    calls = []
+    real = dp.count_respecting
 
+    def counting(instance, d, stats=None):
+        calls.append(d)
+        return real(instance, d, stats)
+
+    monkeypatch.setattr(dp, "count_respecting", counting)
+    for n in range(1, 11):
+        for k in range(1, n + 1):
+            calls.clear()
+            bkm_count(PpmInstance(random_permutation(n, n), random_permutation(k, k)))
+            feasible = [
+                SegmentDecomposition(segs, n)
+                for a in combinations(range(1, n + 1), k // 2)
+                if (segs := _bkm_segments(a, n, k)) is not None
+            ]
+            assert calls == feasible
+            assert len(calls) == comb(n - k // 2 - k % 2, k // 2)
+
+
+def test_bkm_guesses_partition_solutions():
     rng = random.Random(59)
     for _ in range(100):
         inst = random_instance(rng, rng.randint(2, 8))
