@@ -25,10 +25,18 @@ the answer are then zero as well. On text where the pattern is rare most
 runs end a few levels in.
 
 Only two levels are materialized at any moment.
+
+Whether the count is nonzero needs no DP. :func:`_has_chain` places the
+positions in the same order, each at the smallest value of its sorted
+bucket above the previous one, found by one C-level bisect per level. A
+placement exists exactly when this greedy chain never runs off a bucket:
+if any increasing placement y exists, then by induction the greedy value
+g_i <= y_i at every level, so the greedy step never fails.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -130,3 +138,20 @@ def _count_levels(
         stats.cell_writes += writes
         stats.cursor_advances += advances
     return sum(prev_c)
+
+
+def _has_chain(buckets: list[list[int]], order: Sequence[int]) -> bool:
+    """Whether ``_count_levels(buckets, order, None)`` is nonzero.
+
+    Takes, for each position in `order`, the smallest value of its sorted
+    bucket above the previous one; text values are at least 1, so 0 sits
+    below all of them.
+    """
+    prev = 0
+    for p in order:
+        vals = buckets[p - 1]
+        i = bisect_right(vals, prev)
+        if i == len(vals):
+            return False
+        prev = vals[i]
+    return True

@@ -14,17 +14,19 @@ count costs O(n) DP steps after an O(n log n) C-level sort, which gives
 the O*(2^(n/2)) total with O(n) memory: the family is streamed, never
 materialized.
 
-Counting and detection share one walk that updates a single anchor list
-in place, member by member. Counting sums over the whole family.
-Detection walks it in the same order but prunes it by anchor prefix: the
-first 2j segments of a member depend only on its first j anchors, and an
-occurrence confined to the member restricts to an occurrence of pattern
-positions 1..2j confined to those segments. Each member's prefixes are
-checked before its own confined count; when one has no such occurrence,
-no member sharing it counts anything, so the walk skips all of them and
-the answer stays exact. Pruning depends on the instance; where no prefix
-is empty the walk still visits all binom(n//2, k//2) members, so the
-worst case is unchanged.
+Counting and detection share one walk that updates a single anchor list,
+and the segment boundaries it fixes, in place, member by member. Counting
+sums over the whole family. Detection walks it in the same order but
+prunes it by anchor prefix: the first 2j segments of a member depend only
+on its first j anchors, and an occurrence confined to the member
+restricts to an occurrence of pattern positions 1..2j confined to those
+segments. Each member's prefixes are checked before its own confined
+count, by ``dp._has_chain``, which asks only whether such an occurrence
+exists, with one bisect per pattern position. When a prefix has none, no
+member sharing it counts anything, so the walk skips all of them and the
+answer stays exact. Pruning depends on the instance; where no prefix is
+empty the walk still visits all binom(n//2, k//2) members, so the worst
+case is unchanged.
 """
 
 from __future__ import annotations
@@ -98,18 +100,28 @@ def decomposition_of_guess(g: EvenGuess, n: int, k: int) -> SegmentDecomposition
     return SegmentDecomposition(_anchor_segments(g.values, n, k), n)
 
 
-def _anchor_segments(anchors: Sequence[int], n: int, k: int) -> tuple[tuple[int, int], ...]:
-    """Segments of the family member with these anchors, by pattern position.
+def _boundaries(anchors: Sequence[int], n: int, k: int) -> list[int]:
+    """Segment boundaries of the family member with these anchors.
 
-    Segment i runs from boundary i to boundary i + 1, where the boundaries
-    are [1, a1, min(a1+1, n), a2, min(a2+1, n), ...], followed by n when k
-    is odd. The first 2j segments depend on a1..aj alone.
+    The list is [1, a1, min(a1+1, n), a2, min(a2+1, n), ...], followed by n
+    when k is odd; segment i runs from boundary i to boundary i + 1. Anchor
+    t (0-based) sets entries 2t+1 and 2t+2, so the walks rewrite only the
+    tail from the first anchor that moved.
     """
     b = [1]
     for anchor in anchors:
         b += (anchor, anchor + 1 if anchor < n else n)
     if k % 2:
         b.append(n)
+    return b
+
+
+def _anchor_segments(anchors: Sequence[int], n: int, k: int) -> tuple[tuple[int, int], ...]:
+    """Segments of the family member with these anchors, by pattern position.
+
+    The first 2j segments depend on a1..aj alone.
+    """
+    b = _boundaries(anchors, n, k)
     return tuple(zip(b, b[1:]))
 
 
@@ -176,12 +188,17 @@ def count_ppm(instance: PpmInstance, threads: int = 1) -> int:
     n, k = instance.n, instance.k
     r = k // 2
     anchors = list(range(2, 2 * r + 1, 2))
+    b = _boundaries(anchors, n, k)
+    segments = list(zip(b, b[1:]))
     total = 0
-    moved = 0
-    while moved >= 0:
-        total += dp.count_respecting(instance, SegmentDecomposition(_anchor_segments(anchors, n, k), n))
+    while True:
+        total += dp.count_respecting(instance, SegmentDecomposition(tuple(segments), n))
         moved = _advance(anchors, r, n)
-    return total
+        if moved < 0:
+            return total
+        lo = 2 * moved  # anchors from `moved` on set boundaries from lo + 1 on
+        b[lo + 1:] = _boundaries(anchors[moved:], n, k)[1:]
+        segments[lo:] = zip(b[lo:], b[lo + 1:])
 
 
 def detect_ppm(instance: PpmInstance) -> bool:
@@ -194,10 +211,13 @@ def detect_ppm(instance: PpmInstance) -> bool:
     anchor prefixes a1..aj checked, shallowest first, for j < k//2: an
     occurrence confined to a member restricts to one of pattern positions
     1..2j inside the member's first 2j segments, which a1..aj alone fix.
-    An empty prefix rules out every member sharing it, so the walk skips
-    them all and the answer stays exact. A prefix found nonempty, with its
-    sorted segment values, is kept until one of its anchors moves. Where no
-    prefix is empty the walk still visits all binom(n//2, k//2) leaves.
+    A prefix check asks only whether such an occurrence exists, which
+    ``dp._has_chain`` answers with one bisect per pattern position; the
+    counting DP runs at leaves alone. An empty prefix rules out every
+    member sharing it, so the walk skips them all and the answer stays
+    exact. A prefix found nonempty, with its sorted segment values, is
+    kept until one of its anchors moves. Where no prefix is empty the walk
+    still visits all binom(n//2, k//2) leaves.
     """
     n, k = instance.n, instance.k
     r = k // 2
@@ -207,29 +227,30 @@ def detect_ppm(instance: PpmInstance) -> bool:
     buckets: list[list[int]] = []  # sorted values on segments 1..2 * checked
     checked = 0  # prefixes of depth 1..checked hold an occurrence
     anchors = list(range(2, 2 * r + 1, 2))
-    if dp.count_respecting(instance, SegmentDecomposition(_anchor_segments(anchors, n, k), n)) > 0:
+    b = _boundaries(anchors, n, k)
+    if dp.count_respecting(instance, SegmentDecomposition(tuple(zip(b, b[1:])), n)) > 0:
         return True
     depth = r
     while True:
         moved = _advance(anchors, depth, n)
         if moved < 0:
             return False
+        b[2 * moved + 1:] = _boundaries(anchors[moved:], n, k)[1:]
         checked = min(checked, moved)
         del buckets[2 * checked:]
-        segments = _anchor_segments(anchors, n, k)
         depth = r
         while checked < r - 1:
-            width = 2 * checked + 2
-            buckets += dp._segment_value_buckets(sigma, segments[2 * checked:width])
+            lo = 2 * checked
+            buckets += dp._segment_value_buckets(sigma, ((b[lo], b[lo + 1]), (b[lo + 1], b[lo + 2])))
             order = orders[checked]
             if order is None:
-                order = orders[checked] = [p for p in pinv if p <= width]
-            if not dp._count_levels(buckets, order, None):
+                order = orders[checked] = [p for p in pinv if p <= lo + 2]
+            if not dp._has_chain(buckets, order):
                 depth = checked + 1
                 break
             checked += 1
         else:
-            if dp.count_respecting(instance, SegmentDecomposition(segments, n)) > 0:
+            if dp.count_respecting(instance, SegmentDecomposition(tuple(zip(b, b[1:])), n)) > 0:
                 return True
 
 

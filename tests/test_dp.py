@@ -7,6 +7,9 @@ Claims checked here:
     - the run stays linear: cell writes and cursor advances stay within
       the stated bounds and the cursor only moves forward
     - the result ignores text values outside the segments (re-ranking)
+    - the greedy chain says whether the DP count is nonzero, on every
+      family member and every prefix order detection checks, and it needs
+      strictly increasing values where neighbouring buckets share one
     - malformed decompositions are rejected with the documented errors
 """
 
@@ -23,7 +26,7 @@ from ppm.core import (
     SegmentDecomposition,
     respects,
 )
-from ppm.dp import DpStats, _segment_value_buckets, count_respecting
+from ppm.dp import DpStats, _count_levels, _has_chain, _segment_value_buckets, count_respecting
 from ppm.selftest import random_family_decomposition, random_instance
 
 
@@ -175,6 +178,41 @@ def test_stats_stop_at_first_zero_level():
     stats = DpStats()
     assert count_respecting(inst, d, stats=stats) == 0
     assert stats.cell_writes == 4 < sum(map(len, _segment_value_buckets(inst.sigma, d.segments)))
+
+
+# -- existence: the greedy chain --------------------------------------------
+
+
+def test_has_chain_is_strict_on_shared_overlap_values():
+    # Segments [1, 2] and [2, 3] share position 2, so both buckets hold its
+    # value 3; one value cannot serve two consecutive pattern values.
+    assert not _has_chain([[3], [3]], [1, 2])
+    assert _count_levels([[3], [3]], [1, 2], None) == 0
+    assert _has_chain([[1, 3], [3, 5]], [1, 2])
+    assert _has_chain([[3], [3, 5]], [1, 2])
+    assert not _has_chain([[3, 5], [3]], [1, 2])
+    # The greedy step must take the smallest value above the last one:
+    # 3 for position 1 leaves 4 for position 2 and 5 for position 3.
+    assert _has_chain([[3, 5], [4, 5], [5]], [1, 2, 3])
+    assert not _has_chain([[3, 5], [4, 5], [5]], [3, 2, 1])
+
+
+def test_has_chain_agrees_with_count_on_family_prefixes():
+    rng = random.Random(71)
+    checked = nonzero = 0
+    for _ in range(2000):
+        inst = random_instance(rng, rng.randint(1, 14))
+        n, k = inst.n, inst.k
+        pinv = inst.pattern.inverse_values
+        orders = [[p for p in pinv if p <= 2 * j] for j in range(1, k // 2 + 1)] + [list(pinv)]
+        for g in solver.enumerate_guesses(n, k):
+            buckets = _segment_value_buckets(inst.sigma, solver.decomposition_of_guess(g, n, k).segments)
+            for order in orders:
+                want = _count_levels(buckets, order, None) > 0
+                assert _has_chain(buckets, order) == want, (inst, g, order)
+                checked += 1
+                nonzero += want
+    assert nonzero > 1000 and checked - nonzero > 1000
 
 
 # -- independence from uncovered positions -----------------------------------

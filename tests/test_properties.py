@@ -5,6 +5,9 @@ Claims checked here:
       is positive, on arbitrary (text, pattern) pairs
     - the same on planted pairs, whose pattern is the order pattern of a
       subsequence of the text, so the count is at least one
+    - the greedy chain, detection's prefix check, holds exactly when the
+      counting DP is nonzero, on arbitrary sorted buckets over 1..12 and
+      an arbitrary order of their positions
 
 Examples are derandomized, so every run draws the same cases; a failure
 shrinks to a minimal counterexample.
@@ -14,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ppm.core import Permutation, PpmInstance, pattern_of
+from ppm.dp import _count_levels, _has_chain
 from ppm.oracle import brute_force_count
 from ppm.solver import count_ppm, detect_ppm
 
@@ -29,6 +33,16 @@ def random_pairs(draw):
     sigma = draw(st.permutations(range(1, n + 1)))
     pattern = draw(st.permutations(range(1, k + 1)))
     return PpmInstance(Permutation(tuple(sigma)), Permutation(tuple(pattern)))
+
+
+@st.composite
+def buckets_and_order(draw):
+    # Buckets are drawn independently, so neighbours often share a value,
+    # as the buckets of segments meeting at an overlap position do.
+    m = draw(st.integers(1, 6))
+    buckets = [sorted(draw(st.sets(st.integers(1, 12), min_size=1))) for _ in range(m)]
+    order = draw(st.permutations(range(1, m + 1)))
+    return buckets, order[:draw(st.integers(1, m))]
 
 
 @st.composite
@@ -56,3 +70,10 @@ def test_random_pairs_match_oracle(inst):
 @given(planted_pairs())
 def test_planted_pairs_match_oracle(inst):
     assert _check_against_oracle(inst) >= 1
+
+
+@_settings
+@given(buckets_and_order())
+def test_greedy_chain_matches_dp(case):
+    buckets, order = case
+    assert _has_chain(buckets, order) == (_count_levels(buckets, order, None) > 0)

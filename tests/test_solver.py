@@ -406,6 +406,23 @@ def test_detect_prunes_empty_prefixes(monkeypatch):
     assert found and visited[-1] == first_hit
 
 
+def test_detect_runs_the_counting_dp_only_at_leaves(monkeypatch):
+    # Prefix checks test existence with dp._has_chain; the counting DP runs
+    # once per leaf, inside count_respecting.
+    absent = PpmInstance(random_permutation(28, 28), random_permutation(14, 14))
+    dp_runs = []
+    real = dp._count_levels
+
+    def counting(buckets, order, stats):
+        dp_runs.append(order)
+        return real(buckets, order, stats)
+
+    monkeypatch.setattr(dp, "_count_levels", counting)
+    found, visited = _detect_visits(monkeypatch, absent)
+    assert not found
+    assert len(dp_runs) == len(visited)
+
+
 def _prefix_count(inst, d, j):
     """Occurrences of pattern positions 1..2j inside d's first 2j segments."""
     prefix = PpmInstance(inst.sigma, pattern_of(inst.pattern.values[:2 * j]))
