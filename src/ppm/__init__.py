@@ -33,8 +33,6 @@ from .dp import DpStats, count_respecting
 from .oracle import bkm_count, brute_force_count, brute_force_enumerate
 from .rng import SplitMix64, random_permutation
 from .solver import (
-    EvenGuess,
-    c_floor,
     canonical_decomposition,
     count_ppm,
     decomposition_of_guess,
@@ -51,7 +49,6 @@ __all__ = [
     "Embedding",
     "EmptyInput",
     "EmptySegment",
-    "EvenGuess",
     "InstanceTooLarge",
     "InstanceTooSmall",
     "LengthMismatch",
@@ -67,7 +64,6 @@ __all__ = [
     "bkm_count",
     "brute_force_count",
     "brute_force_enumerate",
-    "c_floor",
     "canonical_decomposition",
     "count_ppm",
     "count_respecting",

@@ -45,6 +45,8 @@ FAMILY_MAX = 7 * 10**7
 # The rate holds at n = 10**6, k = 2, where one count took 0.42-0.98 s,
 # 0.4-1 us per unit; its 5 * 10**5 members are refused by this cap alone.
 WORK_SPAN = 84
+# Most `bench --reps`: enough for a median, and each rep reruns the whole count.
+REPS_MAX = 100
 
 _ALGOS = ("fast", "bkm", "brute")
 _THREADS_HELP = "accepted for compatibility: must be >= 1, otherwise ignored"
@@ -284,8 +286,8 @@ def _validate_config(cfg: RunConfig) -> None:
         raise PpmError(f"--n must be in [1, {GEN_MAX_N}], got {cfg.n}")
     if not 1 <= cfg.max_n <= selftest.MAX_N:
         raise PpmError(f"--max-n must be in [1, {selftest.MAX_N}], got {cfg.max_n}")
-    if cfg.reps < 1:
-        raise PpmError(f"--reps must be >= 1, got {cfg.reps}")
+    if not 1 <= cfg.reps <= REPS_MAX:
+        raise PpmError(f"--reps must be in [1, {REPS_MAX}], got {cfg.reps}")
     for n, k in cfg.pairs:
         if not 1 <= k <= n:
             raise PpmError(f"bad pair n={n} k={k}, need 1 <= k <= n")

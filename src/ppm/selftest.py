@@ -73,7 +73,7 @@ def random_instances(rng: random.Random, count: int, lo: int, hi: int) -> Iterat
 def random_family_decomposition(rng: random.Random, n: int, k: int) -> SegmentDecomposition:
     """A uniformly drawn member of the anchor family for (n, k)."""
     anchors = tuple(sorted(2 * c for c in rng.sample(range(1, n // 2 + 1), k // 2)))
-    return solver.decomposition_of_guess(solver.EvenGuess(anchors), n, k)
+    return solver.decomposition_of_guess(anchors, n, k)
 
 
 def _where(inst: PpmInstance) -> str:

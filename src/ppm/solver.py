@@ -8,6 +8,8 @@ segment decomposition. Every occurrence respects exactly one member: the
 one whose anchors are the occurrence's even-position text positions
 rounded down to even. Summing the confined counts over the family
 therefore counts each occurrence once.
+A member is a plain tuple of its anchors, checked only by
+:func:`decomposition_of_guess`.
 
 The family has binom(n//2, k//2) <= 2^(n/2) members and each confined
 count costs O(n) DP steps after an O(n log n) C-level sort, which gives
@@ -32,7 +34,6 @@ case is unchanged.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator, Sequence
 
@@ -49,55 +50,31 @@ from .core import (
 )
 
 
-@dataclass(frozen=True)
-class EvenGuess:
-    """Anchors for the even pattern positions.
-
-    ``values[i-1]`` is the anchor of pattern position 2i: an even text
-    position, strictly increasing in i. The empty guess is the single
-    choice for patterns of length at most 1.
-    """
-
-    values: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.values, tuple):
-            object.__setattr__(self, "values", tuple(self.values))
-        prev = 0
-        for v in self.values:
-            if v < 2 or v % 2:
-                raise OutOfRange(f"anchor {v} is not an even position >= 2")
-            if v <= prev:
-                raise OrderViolation(f"anchors not strictly increasing: {prev} then {v}")
-            prev = v
-
-
-def c_floor(i: int) -> int:
-    """Largest even integer at most i, for i >= 1.
-
-    >>> c_floor(5), c_floor(4), c_floor(1)
-    (4, 4, 0)
-    """
-    if i < 1:
-        raise OutOfRange(f"expected a positive integer, got {i}")
-    return 2 * (i // 2)
-
-
-def decomposition_of_guess(g: EvenGuess, n: int, k: int) -> SegmentDecomposition:
+def decomposition_of_guess(anchors: Sequence[int], n: int, k: int) -> SegmentDecomposition:
     """The segment decomposition induced by even-position anchors.
 
-    Even position 2i gets the window [g_i, min(n, g_i + 1)]; each odd
-    position stretches from the right end of its left neighbour to the
-    left end of its right neighbour; position 1 starts at 1 and, for odd
-    k, position k runs to n. Always passes validate_decomposition.
+    ``anchors[i-1]`` is the anchor of pattern position 2i: k//2 even text
+    positions in [2, n], strictly increasing. Even position 2i gets the
+    window [a_i, min(n, a_i + 1)]; each odd position stretches from the
+    right end of its left neighbour to the left end of its right
+    neighbour; position 1 starts at 1 and, for odd k, position k runs to
+    n. Always passes validate_decomposition.
     """
+    prev = 0  # the anchors' own shape first, then their fit to (n, k)
+    for a in anchors:
+        if a < 2 or a % 2:
+            raise OutOfRange(f"anchor {a} is not an even position >= 2")
+        if a <= prev:
+            raise OrderViolation(f"anchors not strictly increasing: {prev} then {a}")
+        prev = a
     if not 1 <= k <= n:
         raise InstanceTooSmall(f"need 1 <= k <= n, got k={k}, n={n}")
-    if len(g.values) != k // 2:
-        raise LengthMismatch(f"expected {k // 2} anchors for k={k}, got {len(g.values)}")
-    if g.values and g.values[-1] > 2 * (n // 2):
-        raise OutOfRange(f"anchor {g.values[-1]} beyond last even position of [1, {n}]")
-    return SegmentDecomposition(_anchor_segments(g.values, n, k), n)
+    if len(anchors) != k // 2:
+        raise LengthMismatch(f"expected {k // 2} anchors for k={k}, got {len(anchors)}")
+    if prev > n:
+        raise OutOfRange(f"anchor {prev} beyond text length {n}")
+    b = _boundaries(anchors, n, k)
+    return SegmentDecomposition(tuple(zip(b, b[1:])), n)
 
 
 def _boundaries(anchors: Sequence[int], n: int, k: int) -> list[int]:
@@ -116,24 +93,14 @@ def _boundaries(anchors: Sequence[int], n: int, k: int) -> list[int]:
     return b
 
 
-def _anchor_segments(anchors: Sequence[int], n: int, k: int) -> tuple[tuple[int, int], ...]:
-    """Segments of the family member with these anchors, by pattern position.
+def enumerate_guesses(n: int, k: int) -> Iterator[tuple[int, ...]]:
+    """Stream every anchor tuple in lexicographic order.
 
-    The first 2j segments depend on a1..aj alone.
-    """
-    b = _boundaries(anchors, n, k)
-    return tuple(zip(b, b[1:]))
-
-
-def enumerate_guesses(n: int, k: int) -> Iterator[EvenGuess]:
-    """Stream every anchor choice in lexicographic order of its values.
-
-    Exactly binom(n//2, k//2) guesses, generated with O(n) working memory.
+    Exactly binom(n//2, k//2) tuples, generated with O(n) working memory.
     """
     if not 1 <= k <= n:
         raise InstanceTooSmall(f"need 1 <= k <= n, got k={k}, n={n}")
-    evens = range(2, 2 * (n // 2) + 1, 2)
-    return (EvenGuess(combo) for combo in combinations(evens, k // 2))
+    return combinations(range(2, 2 * (n // 2) + 1, 2), k // 2)
 
 
 def family_size(n: int, k: int) -> int:
@@ -152,8 +119,7 @@ def canonical_decomposition(f: Embedding, n: int) -> SegmentDecomposition:
     k = len(f.values)
     if f.values[-1] > n:
         raise OutOfRange(f"position {f.values[-1]} beyond text length {n}")
-    g = EvenGuess(tuple(c_floor(f.values[e - 1]) for e in range(2, k + 1, 2)))
-    return decomposition_of_guess(g, n, k)
+    return decomposition_of_guess(tuple(v - v % 2 for v in f.values[1::2]), n, k)
 
 
 def _advance(anchors: list[int], depth: int, n: int) -> int:

@@ -1,17 +1,6 @@
 import sys
-from itertools import permutations
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 if str(SRC) not in sys.path:
     sys.path.insert(0, str(SRC))
-
-import pytest
-
-from ppm.core import Permutation
-
-
-@pytest.fixture(scope="session")
-def perm_table():
-    """All permutations of each length up to 6, built once per session."""
-    return {n: tuple(Permutation(p) for p in permutations(range(1, n + 1))) for n in range(1, 7)}

@@ -33,7 +33,6 @@ from ppm.dp import DpStats, count_respecting
 from ppm.oracle import brute_force_enumerate
 from ppm.rng import random_permutation
 from ppm.solver import (
-    EvenGuess,
     canonical_decomposition,
     count_ppm,
     decomposition_of_guess,
@@ -64,7 +63,7 @@ def _timed(fn) -> float:
 
 def test_criterion_2_decomposition_vectors():
     expected = ((1, 2), (2, 3), (3, 6), (6, 7), (7, 9))
-    induced = decomposition_of_guess(EvenGuess((2, 6)), 9, 5)
+    induced = decomposition_of_guess((2, 6), 9, 5)
     assert induced.segments == expected
     f = Embedding((1, 3, 5, 7, 9))
     canonical = canonical_decomposition(f, 9)

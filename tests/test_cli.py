@@ -327,6 +327,19 @@ def test_bench_rejects_bad_pairs(capsys):
     assert run_cli(capsys, "bench", "--pairs", "zap")[0] == 2
 
 
+def test_bench_refuses_unbounded_reps(capsys, monkeypatch):
+    # Without the cap this run prints its header and runs until killed.
+    def no_draw(*_args):
+        raise AssertionError("an instance was drawn")
+
+    monkeypatch.setattr(cli, "random_permutation", no_draw)
+    code, out, err = run_cli(capsys, "bench", "--pairs", "8:4", "--reps", "1000000000000")
+    assert (code, out) == (2, "")
+    assert err == f"ppm: --reps must be in [1, {cli.REPS_MAX}], got 1000000000000\n"
+    assert run_cli(capsys, "bench", "--pairs", "8:4", "--reps", str(cli.REPS_MAX + 1))[:2] == (2, "")
+    cli._validate_config(cli.RunConfig(pairs=((8, 4),), reps=cli.REPS_MAX))
+
+
 def test_bench_times_grow_with_n(capsys):
     code, out, _ = run_cli(
         capsys, "bench", "--pairs", "28:14,32:16,36:18", "--reps", "3", "--seed", "11"

@@ -27,7 +27,7 @@ from ppm.core import (
     respects,
 )
 from ppm.dp import DpStats, _count_levels, _has_chain, _segment_value_buckets, count_respecting
-from ppm.selftest import random_family_decomposition, random_instance
+from ppm.selftest import all_permutations, random_family_decomposition, random_instance
 
 
 def _inst(sigma, pattern):
@@ -103,15 +103,16 @@ def test_count_respecting_single_value_pattern():
 # -- count_respecting: oracle equivalence ------------------------------------
 
 
-def test_matches_enumeration_exhaustively_small(perm_table):
+def test_matches_enumeration_exhaustively_small():
     for n in range(1, 6):
+        sigmas = all_permutations(n)
         for k in range(1, n + 1):
             family = [
                 solver.decomposition_of_guess(g, n, k)
                 for g in solver.enumerate_guesses(n, k)
             ]
-            for pat in perm_table[k]:
-                for sig in perm_table[n]:
+            for pat in all_permutations(k):
+                for sig in sigmas:
                     inst = PpmInstance(sig, pat)
                     sols = oracle.brute_force_enumerate(inst)
                     for d in family:

@@ -1,8 +1,8 @@
 """Anchor family, canonical member, and the summed counter.
 
 Claims checked here:
-    - decomposition_of_guess reproduces the worked segment tuples and
-      always validates
+    - decomposition_of_guess reproduces the worked segment tuples,
+      always validates, and accepts exactly the enumerated anchor tuples
     - enumerate_guesses streams exactly binom(n//2, k//2) guesses in
       lexicographic order with O(n) state
     - canonical_decomposition is the one family member an occurrence
@@ -27,7 +27,7 @@ Claims checked here:
 
 import random
 import threading
-from itertools import islice, permutations
+from itertools import islice, permutations, product
 from math import comb
 
 import pytest
@@ -52,8 +52,6 @@ from ppm.core import (
 from ppm.rng import random_permutation
 from ppm.selftest import random_instance
 from ppm.solver import (
-    EvenGuess,
-    c_floor,
     canonical_decomposition,
     count_ppm,
     decomposition_of_guess,
@@ -76,50 +74,20 @@ def _anti_identity(n):
     return Permutation(tuple(range(n, 0, -1)))
 
 
-# -- c_floor -----------------------------------------------------------------
-
-
-@pytest.mark.parametrize("i,expected", [(5, 4), (4, 4), (1, 0), (2, 2), (9, 8)])
-def test_c_floor(i, expected):
-    assert c_floor(i) == expected
-    assert c_floor(i) <= i <= c_floor(i) + 1
-
-
-def test_c_floor_rejects_nonpositive():
-    with pytest.raises(OutOfRange):
-        c_floor(0)
-
-
-# -- EvenGuess ---------------------------------------------------------------
-
-
-def test_even_guess_validation():
-    EvenGuess(())
-    EvenGuess((2, 4, 8))
-    with pytest.raises(OutOfRange):
-        EvenGuess((3,))
-    with pytest.raises(OutOfRange):
-        EvenGuess((0,))
-    with pytest.raises(OrderViolation):
-        EvenGuess((4, 4))
-    with pytest.raises(OrderViolation):
-        EvenGuess((6, 2))
-
-
 # -- decomposition_of_guess ----------------------------------------------------
 
 
 def test_decomposition_worked_example():
-    d = decomposition_of_guess(EvenGuess((2, 6)), 9, 5)
+    d = decomposition_of_guess((2, 6), 9, 5)
     assert d.segments == ((1, 2), (2, 3), (3, 6), (6, 7), (7, 9))
     assert d.n == 9
 
 
 def test_decomposition_trivial_cases():
-    assert decomposition_of_guess(EvenGuess(()), 2, 1).segments == ((1, 2),)
-    assert decomposition_of_guess(EvenGuess((2,)), 4, 2).segments == ((1, 2), (2, 3))
+    assert decomposition_of_guess((), 2, 1).segments == ((1, 2),)
+    assert decomposition_of_guess((2,), 4, 2).segments == ((1, 2), (2, 3))
     # anchor at the last position of an even-length text clamps the window
-    assert decomposition_of_guess(EvenGuess((2,)), 2, 2).segments == ((1, 2), (2, 2))
+    assert decomposition_of_guess((2,), 2, 2).segments == ((1, 2), (2, 2))
 
 
 def test_decomposition_always_validates():
@@ -129,29 +97,64 @@ def test_decomposition_always_validates():
                 validate_decomposition(decomposition_of_guess(g, n, k))
 
 
+def test_decomposition_rejects_bad_anchors():
+    decomposition_of_guess((), 1, 1)
+    decomposition_of_guess((2, 4, 8), 8, 6)
+    with pytest.raises(OutOfRange):
+        decomposition_of_guess((3,), 9, 2)
+    with pytest.raises(OutOfRange):
+        decomposition_of_guess((0,), 9, 2)
+    with pytest.raises(OrderViolation):
+        decomposition_of_guess((4, 4), 9, 4)
+    with pytest.raises(OrderViolation):
+        decomposition_of_guess((6, 2), 9, 4)
+    # A malformed anchor is reported before a count or range that does not fit.
+    with pytest.raises(OutOfRange):
+        decomposition_of_guess((3,), 9, 5)
+    with pytest.raises(OrderViolation):
+        decomposition_of_guess((6, 2), 2, 3)
+
+
+def test_family_is_exactly_the_valid_anchor_tuples():
+    # Mirrors test_bkm_counts_exactly_the_feasible_guesses. Candidates are all
+    # k//2-tuples over 1..n, repeats and any order included, so the order
+    # check is exercised too; those decomposition_of_guess accepts are, in
+    # lexicographic order, exactly the family enumerate_guesses streams.
+    for n in range(1, 11):
+        for k in range(1, n + 1):
+            accepted = []
+            for anchors in product(range(1, n + 1), repeat=k // 2):
+                try:
+                    decomposition_of_guess(anchors, n, k)
+                except (OutOfRange, OrderViolation):
+                    continue
+                accepted.append(anchors)
+            assert accepted == list(enumerate_guesses(n, k)), (n, k)
+
+
 def test_decomposition_guess_shape_errors():
     with pytest.raises(LengthMismatch):
-        decomposition_of_guess(EvenGuess((2,)), 9, 5)
+        decomposition_of_guess((2,), 9, 5)
     with pytest.raises(OutOfRange):
-        decomposition_of_guess(EvenGuess((8,)), 7, 2)
+        decomposition_of_guess((8,), 7, 2)
     with pytest.raises(InstanceTooSmall):
-        decomposition_of_guess(EvenGuess(()), 2, 3)
+        decomposition_of_guess((), 2, 3)
 
 
 # -- enumerate_guesses ---------------------------------------------------------
 
 
 def test_enumerate_worked_examples():
-    assert [g.values for g in enumerate_guesses(9, 5)] == [
+    assert list(enumerate_guesses(9, 5)) == [
         (2, 4), (2, 6), (2, 8), (4, 6), (4, 8), (6, 8)
     ]
-    assert [g.values for g in enumerate_guesses(2, 1)] == [()]
-    assert [g.values for g in enumerate_guesses(6, 6)] == [(2, 4, 6)]
+    assert list(enumerate_guesses(2, 1)) == [()]
+    assert list(enumerate_guesses(6, 6)) == [(2, 4, 6)]
 
 
 def test_enumerate_is_lazy_and_lexicographic():
     stream = enumerate_guesses(40, 20)
-    head = [g.values for g in islice(stream, 4)]
+    head = list(islice(stream, 4))
     assert head == sorted(head)
     assert head[0] == tuple(range(2, 22, 2))
 
