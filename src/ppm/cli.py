@@ -35,9 +35,9 @@ GEN_MAX_N = 10**6
 # place d, one digit for each value of at least d + 1 digits.
 FILE_MAX_BYTES = 2 * (GEN_MAX_N + sum(GEN_MAX_N - 10**d + 1 for d in range(len(str(GEN_MAX_N)))))
 # Most decompositions count, detect and bench may face. One confined count
-# took 32-57 us at n = 56-60, k = n/2 (random and identity texts, 2 vCPU,
-# Python 3.11), where binom(n//2, k//2) reaches this size: the largest
-# admitted run takes about 7 * 10**7 * 50 us, an hour.
+# took 10-16 us on random and 28-47 us on identity texts at n = 56-60,
+# k = n/2 (2 vCPU, Python 3.11), where binom(n//2, k//2) reaches this size:
+# the largest admitted run takes at most about 7 * 10**7 * 50 us, an hour.
 FAMILY_MAX = 7 * 10**7
 # One confined count is linear in n + k, so the same hour also caps the
 # run's work, decompositions * (n + k), at FAMILY_MAX * 84: the (56, 28)

@@ -267,8 +267,20 @@ def validate_decomposition(d: SegmentDecomposition) -> None:
     Checks, in order: every segment is nonempty (EmptySegment), lies
     inside [1, n] (OutOfRange), and consecutive segments overlap in at
     most one position (OrderViolation).
+
+    Together these say 1 <= l1 <= r1 <= l2 <= ... <= rk <= n, which one
+    chained comparison per segment settles; only a decomposition that
+    fails it goes through the checks above to find its error.
     """
     n = d.n
+    prev = 1
+    for lo, hi in d.segments:
+        if not prev <= lo <= hi:
+            break
+        prev = hi
+    else:
+        if prev <= n:
+            return
     for i, (lo, hi) in enumerate(d.segments, start=1):
         if lo > hi:
             raise EmptySegment(f"segment {i} is empty: [{lo}, {hi}]")

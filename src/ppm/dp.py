@@ -13,16 +13,18 @@ position would repeat a text value.
 Two facts bound the work of a run:
 
 * the per-segment value lists together hold at most n + k - 1 entries
-  (the overlap-at-most-one rule); each is a sorted slice of the text, so
-  gathering them costs O(n log n) comparisons inside the C sort, while
-  the DP itself stays O(n) interpreted steps;
+  (the overlap-at-most-one rule); each is a slice of the text, sorted by
+  the C sort only when the DP reaches its level, so the sorting costs at
+  most O(n log n) comparisons, while the DP itself stays O(n) interpreted
+  steps;
 * each level's prefix sums over the previous level are a two-list merge
   driven by a single forward cursor, so a level costs O(|prev| + |cur|).
 
 A level's prefix sums are nondecreasing, so its last cell is zero exactly
 when the whole level is; the run stops there, since every later level and
-the answer are then zero as well. On text where the pattern is rare most
-runs end a few levels in.
+the answer are then zero as well, and the buckets of the levels it never
+reaches are never sorted. On text where the pattern is rare most runs end
+a few levels in.
 
 Only two levels are materialized at any moment.
 
@@ -68,10 +70,10 @@ class DpStats:
 
 def _segment_value_buckets(
     sigma: Permutation, segments: Sequence[tuple[int, int]]
-) -> list[list[int]]:
-    """Sorted text values on each segment, indexed by pattern position."""
+) -> list[tuple[int, ...]]:
+    """Text values on each segment in text order, indexed by pattern position."""
     sv = sigma.values
-    return [sorted(sv[lo - 1:hi]) for lo, hi in segments]
+    return [sv[lo - 1:hi] for lo, hi in segments]
 
 
 def count_respecting(
@@ -80,8 +82,10 @@ def count_respecting(
     """Exact number of occurrences that stay inside d's segments.
 
     Runs O(n) DP steps in O(n) space for any valid decomposition of the
-    instance, after an O(n log n) C-level sort of the segment slices.
-    Pass a :class:`DpStats` to record cell writes and cursor advances.
+    instance, plus a C-level sort of each segment slice whose level the DP
+    reaches: a run that stops at its first all-zero level sorts no bucket
+    past it. Pass a :class:`DpStats` to record cell writes and cursor
+    advances.
     """
     sigma = instance.sigma
     n = len(sigma)
@@ -97,7 +101,7 @@ def count_respecting(
 
 
 def _count_levels(
-    buckets: list[list[int]], order: Sequence[int], stats: DpStats | None
+    buckets: Sequence[Sequence[int]], order: Sequence[int], stats: DpStats | None
 ) -> int:
     """Placements of the positions in `order` inside their buckets.
 
@@ -106,6 +110,8 @@ def _count_levels(
     must increase along `order`. With the pattern's inverse this counts
     every confined occurrence; with positions 1..q alone, in the same order,
     it counts the confined occurrences of the pattern's first q entries.
+    A bucket's values may come in any order: each bucket is sorted when its
+    level is reached.
     """
     writes = 0
     advances = 0
@@ -113,7 +119,7 @@ def _count_levels(
     prev_j: list[int] = [0]
     prev_c: list[int] = [1]
     for p in order:
-        vals = buckets[p - 1]
+        vals = sorted(buckets[p - 1])
         cur: list[int] = []
         append = cur.append
         acc = 0
@@ -143,9 +149,9 @@ def _count_levels(
 def _has_chain(buckets: list[list[int]], order: Sequence[int]) -> bool:
     """Whether ``_count_levels(buckets, order, None)`` is nonzero.
 
-    Takes, for each position in `order`, the smallest value of its sorted
-    bucket above the previous one; text values are at least 1, so 0 sits
-    below all of them.
+    Each bucket must be sorted. Takes, for each position in `order`, the
+    smallest value of its bucket above the previous one; text values are
+    at least 1, so 0 sits below all of them.
     """
     prev = 0
     for p in order:

@@ -12,9 +12,9 @@ A member is a plain tuple of its anchors, checked only by
 :func:`decomposition_of_guess`.
 
 The family has binom(n//2, k//2) <= 2^(n/2) members and each confined
-count costs O(n) DP steps after an O(n log n) C-level sort, which gives
-the O*(2^(n/2)) total with O(n) memory: the family is streamed, never
-materialized.
+count costs O(n) DP steps plus at most an O(n log n) C-level sort, which
+gives the O*(2^(n/2)) total with O(n) memory: the family is streamed,
+never materialized.
 
 Counting and detection share one walk that updates a single anchor list,
 and the segment boundaries it fixes, in place, member by member. Counting
@@ -187,7 +187,7 @@ def detect_ppm(instance: PpmInstance) -> bool:
     """
     n, k = instance.n, instance.k
     r = k // 2
-    sigma = instance.sigma
+    sv = instance.sigma.values
     pinv = instance.pattern.inverse_values
     orders: list[list[int] | None] = [None] * r  # orders[j - 1]: positions 1..2j by value
     buckets: list[list[int]] = []  # sorted values on segments 1..2 * checked
@@ -207,7 +207,7 @@ def detect_ppm(instance: PpmInstance) -> bool:
         depth = r
         while checked < r - 1:
             lo = 2 * checked
-            buckets += dp._segment_value_buckets(sigma, ((b[lo], b[lo + 1]), (b[lo + 1], b[lo + 2])))
+            buckets += (sorted(sv[b[lo] - 1:b[lo + 1]]), sorted(sv[b[lo + 1] - 1:b[lo + 2]]))
             order = orders[checked]
             if order is None:
                 order = orders[checked] = [p for p in pinv if p <= lo + 2]

@@ -266,7 +266,7 @@ def test_selftest_catches_broken_merge_cursor(capsys, monkeypatch):
         pinv = instance.pattern.inverse_values
         prev_j, prev_c = [0], [1]
         for i in range(k):
-            vals = buckets[pinv[i] - 1]
+            vals = sorted(buckets[pinv[i] - 1])
             cur = []
             acc = 0
             cursor = 0

@@ -7,9 +7,13 @@ Claims checked here:
     - respects is monotone under segment enlargement
     - constructors enforce the type invariants (bijection, k <= n,
       strictly increasing embeddings) with the documented errors
+    - validate_decomposition raises exactly when 1 <= l1 <= r1 <= l2 <= ...
+      <= rk <= n fails, with the error the per-rule checks give, on every
+      small decomposition
 """
 
 import random
+from itertools import chain, product
 
 import pytest
 
@@ -25,6 +29,7 @@ from ppm.core import (
     OrderViolation,
     OutOfRange,
     Permutation,
+    PpmError,
     PpmInstance,
     SegmentDecomposition,
     format_permutation,
@@ -209,6 +214,50 @@ def test_validate_out_of_range():
         validate_decomposition(SegmentDecomposition(((0, 2),), 5))
     with pytest.raises(OutOfRange):
         validate_decomposition(SegmentDecomposition(((1, 6),), 5))
+
+
+def _validate_by_rules(d):
+    # The per-rule checks alone, as validate_decomposition ran them before
+    # its chained-comparison fast path: the reference for which error it gives.
+    n = d.n
+    for i, (lo, hi) in enumerate(d.segments, start=1):
+        if lo > hi:
+            raise EmptySegment(f"segment {i} is empty: [{lo}, {hi}]")
+        if lo < 1 or hi > n:
+            raise OutOfRange(f"segment {i} = [{lo}, {hi}] leaves [1, {n}]")
+    segs = d.segments
+    for i in range(len(segs) - 1):
+        if segs[i][1] > segs[i + 1][0]:
+            raise OrderViolation(
+                f"segments {i + 1} and {i + 2} overlap in more than one position: "
+                f"{segs[i]} then {segs[i + 1]}"
+            )
+
+
+def _outcome(validate, d):
+    try:
+        validate(d)
+    except PpmError as e:
+        return type(e), str(e)
+    return None
+
+
+def test_validate_matches_chain_and_rules_exhaustively():
+    checked = valid = 0
+    for n in range(5):
+        pairs = list(product(range(n + 2), repeat=2))
+        for m in (1, 2, 3):
+            for segs in product(pairs, repeat=m):
+                d = SegmentDecomposition(segs, n)
+                bounds = [1, *chain.from_iterable(segs), n]
+                well_formed = all(a <= b for a, b in zip(bounds, bounds[1:]))
+                got = _outcome(validate_decomposition, d)
+                assert (got is None) == well_formed, segs
+                assert got == _outcome(_validate_by_rules, d), segs
+                checked += 1
+                valid += well_formed
+    assert checked == sum(((n + 2) ** 2) ** m for n in range(5) for m in (1, 2, 3))
+    assert 0 < valid < checked
 
 
 # -- type invariants ---------------------------------------------------------

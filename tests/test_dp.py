@@ -1,7 +1,9 @@
 """Confined counting: the linear-time layer-by-layer counter.
 
 Claims checked here:
-    - the bucket pass reads each segment's text values in sorted order
+    - the bucket pass returns each segment's text values as a slice of the
+      text, in text order, and the DP sorts a bucket only when it reaches
+      that bucket's level
     - count_respecting equals filtering the exhaustive enumeration by
       respects, exhaustively at small n and on random pairs up to n = 12
     - the run stays linear: cell writes and cursor advances stay within
@@ -17,7 +19,7 @@ import random
 
 import pytest
 
-from ppm import oracle, solver
+from ppm import dp, oracle, solver
 from ppm.core import (
     EmptySegment,
     LengthMismatch,
@@ -44,27 +46,32 @@ def _oracle_count(inst, d):
 def test_segment_values_worked_example():
     sigma = Permutation((8, 1, 3, 9, 5, 4, 2, 7, 6))
     segments = ((1, 2), (2, 3), (3, 6), (6, 7), (7, 9))
-    want = [[1, 8], [1, 3], [3, 4, 5, 9], [2, 4], [2, 6, 7]]
+    want = [(8, 1), (1, 3), (3, 9, 5, 4), (4, 2), (2, 7, 6)]
     assert _segment_value_buckets(sigma, segments) == want
+    assert want == [sigma.values[lo - 1:hi] for lo, hi in segments]
 
 
 def test_segment_values_trivial():
-    assert _segment_value_buckets(Permutation((1,)), ((1, 1),)) == [[1]]
-    assert _segment_value_buckets(Permutation((2, 1)), ((1, 1), (2, 2))) == [[2], [1]]
+    assert _segment_value_buckets(Permutation((1,)), ((1, 1),)) == [(1,)]
+    assert _segment_value_buckets(Permutation((2, 1)), ((1, 1), (2, 2))) == [(2,), (1,)]
+    assert _segment_value_buckets(Permutation((2, 1)), ((1, 2),)) == [(2, 1)]
 
 
 def test_segment_values_sorted_and_sized():
+    # The buckets are the text's own slices; _count_levels sorts one only
+    # when its level is reached (test_sorts_only_the_buckets_of_reached_levels).
     rng = random.Random(3)
     for _ in range(100):
         n = rng.randint(2, 14)
         k = rng.randint(1, n)
         sigma = list(range(1, n + 1))
         rng.shuffle(sigma)
+        sigma = Permutation(tuple(sigma))
         d = random_family_decomposition(rng, n, k)
-        vals = _segment_value_buckets(Permutation(tuple(sigma)), d.segments)
+        vals = _segment_value_buckets(sigma, d.segments)
         assert sum(len(v) for v in vals) <= n + k - 1
         for (lo, hi), v in zip(d.segments, vals):
-            assert list(v) == sorted(v)
+            assert v == sigma.values[lo - 1:hi]
             assert len(v) == hi - lo + 1
 
 
@@ -181,6 +188,28 @@ def test_stats_stop_at_first_zero_level():
     assert stats.cell_writes == 4 < sum(map(len, _segment_value_buckets(inst.sigma, d.segments)))
 
 
+def test_sorts_only_the_buckets_of_reached_levels(monkeypatch):
+    sorted_sizes = []
+
+    def counting_sorted(values):
+        sorted_sizes.append(len(values))
+        return sorted(values)
+
+    monkeypatch.setattr(dp, "sorted", counting_sorted, raising=False)
+    # The instance above stops at level 2, so the bucket of [3, 6] is never sorted.
+    inst = _inst(range(1, 7), (2, 1, 3))
+    d = SegmentDecomposition(((1, 2), (2, 3), (3, 6)), 6)
+    assert count_respecting(inst, d) == 0
+    assert sorted_sizes == [2, 2]
+    # Identity text and pattern: every member is nonzero, so every level runs.
+    n, k = 12, 6
+    inst = _inst(range(1, n + 1), range(1, k + 1))
+    for g in solver.enumerate_guesses(n, k):
+        sorted_sizes.clear()
+        assert count_respecting(inst, solver.decomposition_of_guess(g, n, k)) > 0
+        assert len(sorted_sizes) == k
+
+
 # -- existence: the greedy chain --------------------------------------------
 
 
@@ -207,7 +236,8 @@ def test_has_chain_agrees_with_count_on_family_prefixes():
         pinv = inst.pattern.inverse_values
         orders = [[p for p in pinv if p <= 2 * j] for j in range(1, k // 2 + 1)] + [list(pinv)]
         for g in solver.enumerate_guesses(n, k):
-            buckets = _segment_value_buckets(inst.sigma, solver.decomposition_of_guess(g, n, k).segments)
+            d = solver.decomposition_of_guess(g, n, k)
+            buckets = [sorted(v) for v in _segment_value_buckets(inst.sigma, d.segments)]
             for order in orders:
                 want = _count_levels(buckets, order, None) > 0
                 assert _has_chain(buckets, order) == want, (inst, g, order)

@@ -8,6 +8,8 @@ Claims checked here:
     - the greedy chain, detection's prefix check, holds exactly when the
       counting DP is nonzero, on arbitrary sorted buckets over 1..12 and
       an arbitrary order of their positions
+    - the counting DP gives the same count and the same operation counts
+      on buckets in text order as on the same buckets sorted
 
 Examples are derandomized, so every run draws the same cases; a failure
 shrinks to a minimal counterexample.
@@ -17,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ppm.core import Permutation, PpmInstance, pattern_of
-from ppm.dp import _count_levels, _has_chain
+from ppm.dp import DpStats, _count_levels, _has_chain
 from ppm.oracle import brute_force_count
 from ppm.solver import count_ppm, detect_ppm
 
@@ -43,6 +45,12 @@ def buckets_and_order(draw):
     buckets = [sorted(draw(st.sets(st.integers(1, 12), min_size=1))) for _ in range(m)]
     order = draw(st.permutations(range(1, m + 1)))
     return buckets, order[:draw(st.integers(1, m))]
+
+
+@st.composite
+def shuffled_buckets_and_order(draw):
+    buckets, order = draw(buckets_and_order())
+    return [draw(st.permutations(b)) for b in buckets], order
 
 
 @st.composite
@@ -77,3 +85,13 @@ def test_planted_pairs_match_oracle(inst):
 def test_greedy_chain_matches_dp(case):
     buckets, order = case
     assert _has_chain(buckets, order) == (_count_levels(buckets, order, None) > 0)
+
+
+@_settings
+@given(shuffled_buckets_and_order())
+def test_count_is_independent_of_bucket_order(case):
+    buckets, order = case
+    unsorted_stats, sorted_stats = DpStats(), DpStats()
+    got = _count_levels(buckets, order, unsorted_stats)
+    assert got == _count_levels([sorted(b) for b in buckets], order, sorted_stats)
+    assert unsorted_stats == sorted_stats
