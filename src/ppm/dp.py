@@ -33,7 +33,9 @@ positions in the same order, each at the smallest value of its sorted
 bucket above the previous one, found by one C-level bisect per level. A
 placement exists exactly when this greedy chain never runs off a bucket:
 if any increasing placement y exists, then by induction the greedy value
-g_i <= y_i at every level, so the greedy step never fails.
+g_i <= y_i at every level, so the greedy step never fails. Detection
+rests on this alone: it decides anchor prefixes and whole family members
+(its leaves) by the chain and never runs the counting DP.
 """
 
 from __future__ import annotations

@@ -6,19 +6,24 @@ agreement (count, bkm, brute force and detect), the exactly-once canonical
 cover, and the sizes of the anchor and lower-bound families. `run_suites`
 runs them beside five single-module suites on small corpora scaled by
 `max_n`; the acceptance gate runs them on its pinned corpora. The corpus
-builders draw the same instances wherever they are used.
+builders draw the same instances wherever they are used. The
+`dp-matches-enumeration` suite also states the invariant detection's
+leaves rest on: the greedy chain over a member's sorted segment values
+holds exactly when the member's confined count is nonzero.
 """
 
 from __future__ import annotations
 
 import random
-from itertools import chain, permutations
+from itertools import chain, combinations, permutations
 from math import comb
 from typing import Callable, Iterable, Iterator
 
 from . import dp, oracle, solver
 from .core import (
     Embedding,
+    InstanceTooLarge,
+    InstanceTooSmall,
     Permutation,
     PpmInstance,
     SegmentDecomposition,
@@ -36,7 +41,8 @@ _SEED = 0x5EED
 # The family-size and lower-bound suites run up to n = max_n + _HEADROOM,
 # and the lower-bound family is materialized only up to LOWERBOUND_CAP.
 _HEADROOM = 6
-MAX_N = solver.LOWERBOUND_CAP - _HEADROOM
+LOWERBOUND_CAP = 24
+MAX_N = LOWERBOUND_CAP - _HEADROOM
 
 
 def all_permutations(n: int) -> list[Permutation]:
@@ -74,6 +80,35 @@ def random_family_decomposition(rng: random.Random, n: int, k: int) -> SegmentDe
     """A uniformly drawn member of the anchor family for (n, k)."""
     anchors = tuple(sorted(2 * c for c in rng.sample(range(1, n // 2 + 1), k // 2)))
     return solver.decomposition_of_guess(anchors, n, k)
+
+
+def lowerbound_family(n: int, k: int) -> set[SegmentDecomposition]:
+    """Distinct family members forced by a structured set of occurrences.
+
+    For every increasing map of 1..k//2 into 1..(n-1)//2, build the
+    embedding that walks the chosen odd/even position pairs (appending n
+    when k is odd) and take its canonical decomposition. Distinct maps
+    force distinct members, so the result has binom((n-1)//2, k//2)
+    elements. Capped at n = LOWERBOUND_CAP, since it is materialized.
+    """
+    if not 1 <= k <= n:
+        raise InstanceTooSmall(f"need 1 <= k <= n, got k={k}, n={n}")
+    half_k = k // 2
+    half_n = (n - 1) // 2
+    if half_k > half_n:
+        raise InstanceTooSmall(f"need k//2 <= (n-1)//2, got k={k}, n={n}")
+    if n > LOWERBOUND_CAP:
+        raise InstanceTooLarge(f"materializing the family is capped at n={LOWERBOUND_CAP}")
+    out: set[SegmentDecomposition] = set()
+    for choice in combinations(range(1, half_n + 1), half_k):
+        values = [0] * k
+        for i, c in enumerate(choice, start=1):
+            values[2 * i - 2] = 2 * c - 1
+            values[2 * i - 1] = 2 * c
+        if k % 2:
+            values[-1] = n
+        out.add(solver.canonical_decomposition(Embedding(tuple(values)), n))
+    return out
 
 
 def _where(inst: PpmInstance) -> str:
@@ -130,7 +165,7 @@ def check_lowerbound(max_n: int) -> str:
         for k in range(1, n + 1):
             if k // 2 > (n - 1) // 2:
                 continue
-            got = len(solver.lowerbound_family(n, k))
+            got = len(lowerbound_family(n, k))
             if got != comb((n - 1) // 2, k // 2):
                 return f"lower-bound family size {got} at n={n} k={k}"
     return ""
@@ -179,9 +214,12 @@ def _suite_dp_enumeration(max_n: int) -> str:
         d = random_family_decomposition(rng, inst.n, inst.k)
         got = dp.count_respecting(inst, d)
         want = sum(1 for f in oracle.brute_force_enumerate(inst) if respects(f, d))
-        if got != want:
+        # Detection's leaf check: the greedy chain holds exactly when the count is nonzero.
+        buckets = [sorted(v) for v in dp._segment_value_buckets(inst.sigma, d.segments)]
+        chain_holds = dp._has_chain(buckets, inst.pattern.inverse_values)
+        if got != want or chain_holds != (want > 0):
             return (
-                f"count_respecting={got} but enumeration says {want} on "
+                f"count_respecting={got} chain={chain_holds} but enumeration says {want} on "
                 f"sigma={inst.sigma.values} pat={inst.pattern.values} segs={d.segments}"
             )
     return ""

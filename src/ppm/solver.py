@@ -18,17 +18,19 @@ never materialized.
 
 Counting and detection share one walk that updates a single anchor list,
 and the segment boundaries it fixes, in place, member by member. Counting
-sums over the whole family. Detection walks it in the same order but
-prunes it by anchor prefix: the first 2j segments of a member depend only
-on its first j anchors, and an occurrence confined to the member
-restricts to an occurrence of pattern positions 1..2j confined to those
-segments. Each member's prefixes are checked before its own confined
-count, by ``dp._has_chain``, which asks only whether such an occurrence
-exists, with one bisect per pattern position. When a prefix has none, no
-member sharing it counts anything, so the walk skips all of them and the
-answer stays exact. Pruning depends on the instance; where no prefix is
-empty the walk still visits all binom(n//2, k//2) members, so the worst
-case is unchanged.
+sums the confined counts over the whole family. Detection needs only
+whether some member holds an occurrence, which ``dp._has_chain`` decides
+with one bisect per pattern position and no DP. It walks the family in
+the same order but prunes it by anchor prefix: the first 2j segments of
+a member depend only on its first j anchors, and an occurrence confined
+to the member restricts to an occurrence of pattern positions 1..2j
+confined to those segments. Each member's prefixes are checked before
+the member itself, its leaf, reusing the sorted segment values of the
+prefixes it shares with the member before. When a prefix has no
+occurrence, no member sharing it holds one, so the walk skips all of
+them and the answer stays exact. Pruning depends on the instance; where
+no prefix is empty the walk still visits all binom(n//2, k//2) members,
+so the worst case is unchanged.
 """
 
 from __future__ import annotations
@@ -40,13 +42,13 @@ from typing import Iterator, Sequence
 from . import dp
 from .core import (
     Embedding,
-    InstanceTooLarge,
     InstanceTooSmall,
     LengthMismatch,
     OrderViolation,
     OutOfRange,
     PpmInstance,
     SegmentDecomposition,
+    validate_decomposition,
 )
 
 
@@ -171,33 +173,38 @@ def detect_ppm(instance: PpmInstance) -> bool:
     """Whether the pattern occurs at all.
 
     Walks the anchor family in the lexicographic order of
-    :func:`enumerate_guesses` and returns True at the first member with a
-    nonzero confined count, its leaf: one ``dp.count_respecting`` call.
-    Member 1 goes straight to its leaf. Each later member first has its
-    anchor prefixes a1..aj checked, shallowest first, for j < k//2: an
-    occurrence confined to a member restricts to one of pattern positions
-    1..2j inside the member's first 2j segments, which a1..aj alone fix.
-    A prefix check asks only whether such an occurrence exists, which
-    ``dp._has_chain`` answers with one bisect per pattern position; the
-    counting DP runs at leaves alone. An empty prefix rules out every
+    :func:`enumerate_guesses` and returns True at the first member whose
+    leaf check finds a confined occurrence. Member 1 goes straight to its
+    leaf. Each later member first has its anchor prefixes a1..aj checked,
+    shallowest first, for j < k//2: an occurrence confined to a member
+    restricts to one of pattern positions 1..2j inside the member's first
+    2j segments, which a1..aj alone fix. An empty prefix rules out every
     member sharing it, so the walk skips them all and the answer stays
     exact. A prefix found nonempty, with its sorted segment values, is
-    kept until one of its anchors moves. Where no prefix is empty the walk
-    still visits all binom(n//2, k//2) leaves.
+    kept until one of its anchors moves. A member whose prefixes all hold
+    is a leaf: its decomposition is validated, the segments past the kept
+    prefix are sorted, and one more chain over the whole pattern order
+    decides it. Every check is ``dp._has_chain``, which asks only whether
+    an occurrence exists, with one bisect per pattern position; detection
+    never runs the counting DP. Where no prefix is empty the walk still
+    visits all binom(n//2, k//2) leaves.
     """
     n, k = instance.n, instance.k
     r = k // 2
     sv = instance.sigma.values
     pinv = instance.pattern.inverse_values
     orders: list[list[int] | None] = [None] * r  # orders[j - 1]: positions 1..2j by value
-    buckets: list[list[int]] = []  # sorted values on segments 1..2 * checked
+    buckets: list[list[int]] = []  # sorted values on segments 1..2 * checked, then the leaf's
     checked = 0  # prefixes of depth 1..checked hold an occurrence
     anchors = list(range(2, 2 * r + 1, 2))
     b = _boundaries(anchors, n, k)
-    if dp.count_respecting(instance, SegmentDecomposition(tuple(zip(b, b[1:])), n)) > 0:
-        return True
-    depth = r
+    depth = r  # the next member must not share a1..a_depth with this one
     while True:
+        if depth == r:  # a leaf: member 1, or a member whose prefixes all hold
+            validate_decomposition(SegmentDecomposition(tuple(zip(b, b[1:])), n))
+            buckets += [sorted(sv[b[i] - 1:b[i + 1]]) for i in range(2 * checked, k)]
+            if dp._has_chain(buckets, pinv):
+                return True
         moved = _advance(anchors, depth, n)
         if moved < 0:
             return False
@@ -215,39 +222,3 @@ def detect_ppm(instance: PpmInstance) -> bool:
                 depth = checked + 1
                 break
             checked += 1
-        else:
-            if dp.count_respecting(instance, SegmentDecomposition(tuple(zip(b, b[1:])), n)) > 0:
-                return True
-
-
-LOWERBOUND_CAP = 24
-
-
-def lowerbound_family(n: int, k: int) -> set[SegmentDecomposition]:
-    """Distinct family members forced by a structured set of occurrences.
-
-    For every increasing map of 1..k//2 into 1..(n-1)//2, build the
-    embedding that walks the chosen odd/even position pairs (appending n
-    when k is odd) and take its canonical decomposition. Distinct maps
-    force distinct members, so the result has binom((n-1)//2, k//2)
-    elements. Self-test machinery, capped at small n; not part of the
-    solving API.
-    """
-    if not 1 <= k <= n:
-        raise InstanceTooSmall(f"need 1 <= k <= n, got k={k}, n={n}")
-    half_k = k // 2
-    half_n = (n - 1) // 2
-    if half_k > half_n:
-        raise InstanceTooSmall(f"need k//2 <= (n-1)//2, got k={k}, n={n}")
-    if n > LOWERBOUND_CAP:
-        raise InstanceTooLarge(f"materializing the family is capped at n={LOWERBOUND_CAP}")
-    out: set[SegmentDecomposition] = set()
-    for choice in combinations(range(1, half_n + 1), half_k):
-        values = [0] * k
-        for i, c in enumerate(choice, start=1):
-            values[2 * i - 2] = 2 * c - 1
-            values[2 * i - 1] = 2 * c
-        if k % 2:
-            values[-1] = n
-        out.add(canonical_decomposition(Embedding(tuple(values)), n))
-    return out

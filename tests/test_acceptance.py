@@ -32,12 +32,8 @@ from ppm.core import Embedding, Permutation, PpmInstance, format_permutation, re
 from ppm.dp import DpStats, count_respecting
 from ppm.oracle import brute_force_enumerate
 from ppm.rng import random_permutation
-from ppm.solver import (
-    canonical_decomposition,
-    count_ppm,
-    decomposition_of_guess,
-    lowerbound_family,
-)
+from ppm.selftest import lowerbound_family
+from ppm.solver import canonical_decomposition, count_ppm, decomposition_of_guess
 
 
 def _report(criterion: str) -> None:

@@ -18,9 +18,13 @@ Claims checked here:
       planted patterns and keeps its answer under the symmetries
       (n = 28..40), and prunes empty anchor prefixes while visiting
       members in family order, checking a member's prefixes before its
-      leaf
+      leaf; it decides each leaf by the greedy chain on that leaf's
+      sorted segment values and never runs the counting DP
     - count_ppm hands dp.count_respecting each family member once, in
       family order
+    - far past the oracle's default reach, count_ppm and detect_ppm match
+      brute_force_count(max_n=n) on random, planted and sparse texts with
+      k <= 4 up to n = 200 and k = 5..6 up to n = 100
     - the lower-bound construction yields binom((n-1)//2, k//2) distinct
       valid members
 """
@@ -32,7 +36,7 @@ from math import comb
 
 import pytest
 
-from ppm import cli, dp, oracle
+from ppm import cli, dp, oracle, solver
 from ppm.core import (
     Embedding,
     InstanceTooLarge,
@@ -50,7 +54,7 @@ from ppm.core import (
     validate_decomposition,
 )
 from ppm.rng import random_permutation
-from ppm.selftest import random_instance
+from ppm.selftest import lowerbound_family, random_instance
 from ppm.solver import (
     canonical_decomposition,
     count_ppm,
@@ -58,7 +62,6 @@ from ppm.solver import (
     detect_ppm,
     enumerate_guesses,
     family_size,
-    lowerbound_family,
 )
 
 
@@ -300,21 +303,12 @@ def test_detect_worked_examples():
 
 
 def test_detect_short_circuits(monkeypatch):
-    calls = []
-    real = dp.count_respecting
-
-    def counting(instance, d, stats=None):
-        calls.append(d)
-        return real(instance, d, stats)
-
-    monkeypatch.setattr(dp, "count_respecting", counting)
     # Identity text: the very first guess already contains an occurrence.
-    assert detect_ppm(PpmInstance(_identity(8), _identity(2)))
-    assert len(calls) == 1
+    found, leaves = _detect_visits(monkeypatch, PpmInstance(_identity(8), _identity(2)))
+    assert found and len(leaves) == 1
     # Absent pattern: every member must be visited before saying no.
-    calls.clear()
-    assert not detect_ppm(_inst((2, 1), (1, 2)))
-    assert len(calls) == family_size(2, 2)
+    found, leaves = _detect_visits(monkeypatch, _inst((2, 1), (1, 2)))
+    assert not found and len(leaves) == family_size(2, 2)
 
 
 def test_detect_matches_count_random():
@@ -374,18 +368,38 @@ def test_detect_invariant_under_symmetries():
 
 
 def _detect_visits(monkeypatch, inst):
-    """detect_ppm's answer and the members it handed to the confined counter."""
-    calls = []
-    real = dp.count_respecting
+    """detect_ppm's answer and the leaves it checked, in order.
 
-    def counting(instance, d, stats=None):
-        calls.append(d)
-        return real(instance, d, stats)
+    A leaf is the member whose decomposition detect_ppm validates and then
+    decides with one greedy chain over the whole pattern order; prefix
+    checks chain over shorter orders. Each leaf's chain must run on the
+    sorted values of that leaf's segments, and the counting DP must not
+    run at all.
+    """
+    leaves, leaf_buckets = [], []
+    real_validate, real_chain = solver.validate_decomposition, dp._has_chain
 
-    monkeypatch.setattr(dp, "count_respecting", counting)
-    found = detect_ppm(inst)
-    monkeypatch.setattr(dp, "count_respecting", real)
-    return found, calls
+    def validating(d):
+        leaves.append(d)
+        real_validate(d)
+
+    def chaining(buckets, order):
+        if len(order) == inst.k:
+            leaf_buckets.append([list(v) for v in buckets])
+        return real_chain(buckets, order)
+
+    def refuse(*args):
+        raise AssertionError("detect_ppm ran the counting DP")
+
+    with monkeypatch.context() as m:
+        m.setattr(solver, "validate_decomposition", validating)
+        m.setattr(dp, "_has_chain", chaining)
+        m.setattr(dp, "count_respecting", refuse)
+        m.setattr(dp, "_count_levels", refuse)
+        found = detect_ppm(inst)
+    sv = inst.sigma.values
+    assert leaf_buckets == [[sorted(sv[lo - 1:hi]) for lo, hi in d.segments] for d in leaves]
+    return found, leaves
 
 
 def test_detect_prunes_empty_prefixes(monkeypatch):
@@ -409,21 +423,15 @@ def test_detect_prunes_empty_prefixes(monkeypatch):
     assert found and visited[-1] == first_hit
 
 
-def test_detect_runs_the_counting_dp_only_at_leaves(monkeypatch):
-    # Prefix checks test existence with dp._has_chain; the counting DP runs
-    # once per leaf, inside count_respecting.
+def test_detect_never_runs_the_counting_dp(monkeypatch):
+    # Prefix checks and leaves alike test existence with dp._has_chain;
+    # _detect_visits fails if dp.count_respecting or dp._count_levels runs.
     absent = PpmInstance(random_permutation(28, 28), random_permutation(14, 14))
-    dp_runs = []
-    real = dp._count_levels
-
-    def counting(buckets, order, stats):
-        dp_runs.append(order)
-        return real(buckets, order, stats)
-
-    monkeypatch.setattr(dp, "_count_levels", counting)
-    found, visited = _detect_visits(monkeypatch, absent)
-    assert not found
-    assert len(dp_runs) == len(visited)
+    planted, _ = _planted(25, 11, seed=25)
+    dense = PpmInstance(_identity(28), _identity(14))
+    for inst, want in ((absent, False), (planted, True), (dense, True)):
+        found, leaves = _detect_visits(monkeypatch, inst)
+        assert found is want and leaves
 
 
 def _prefix_count(inst, d, j):
@@ -464,6 +472,65 @@ def test_detect_matches_count_past_oracle():
         else:
             inst = PpmInstance(random_permutation(n, rng.getrandbits(32)), random_permutation(k, rng.getrandbits(32)))
         assert detect_ppm(inst) == (count_ppm(inst) > 0)
+
+
+# -- past the oracle's default reach: brute force with max_n = n ---------------
+
+
+def _sum_indecomposable(k, rng):
+    """A seeded pattern of length k >= 2 that is no direct sum: no proper prefix holds 1..i."""
+    while True:
+        p = random_permutation(k, rng.getrandbits(32))
+        if all(max(p.values[:i]) > i for i in range(1, k)):
+            return p
+
+
+def _block_sum(pattern, n, rng, planted):
+    """A length-n text holding the sum-indecomposable `pattern` exactly `planted` (0 or 1) times.
+
+    The text is a direct sum of shuffled blocks shorter than the pattern,
+    plus, when planted, one block equal to the pattern at a seeded place.
+    An occurrence of a sum-indecomposable pattern in a direct sum lies
+    inside one block, so only the planted block holds one.
+    """
+    k = len(pattern)
+    sizes = []
+    left = n - k * planted
+    while left:
+        sizes.append(min(left, rng.randint(1, k - 1)))
+        left -= sizes[-1]
+    if planted:
+        sizes.insert(rng.randint(0, len(sizes)), 0)
+    values, base = [], 0
+    for size in sizes:
+        block = [base + v for v in pattern.values] if size == 0 else rng.sample(range(base + 1, base + size + 1), size)
+        values += block
+        base += len(block)
+    return Permutation(tuple(values))
+
+
+# Both parities of k: odd k gives every member a last segment running to n.
+@pytest.mark.parametrize("n,k", [(200, 2), (199, 3), (100, 4), (97, 4), (61, 5), (48, 5), (60, 6), (45, 6)])
+def test_routes_match_brute_force_on_random_and_planted_texts(n, k):
+    rng = random.Random(5000 + 10 * n + k)
+    uniform = PpmInstance(random_permutation(n, rng.getrandbits(32)), random_permutation(k, rng.getrandbits(32)))
+    planted, _ = _planted(n, k, seed=rng.getrandbits(32))
+    for inst in (uniform, planted):
+        want = oracle.brute_force_count(inst, max_n=n)
+        assert count_ppm(inst) == want
+        assert detect_ppm(inst) == (want > 0)
+
+
+@pytest.mark.parametrize("n,k", [(200, 3), (200, 4), (151, 4), (100, 5), (79, 6), (64, 6)])
+def test_routes_match_brute_force_on_sparse_texts(n, k):
+    # Counts of 0 and 1: detection must walk deep into the family to decide.
+    rng = random.Random(6000 + 10 * n + k)
+    pattern = _sum_indecomposable(k, rng)
+    for planted in (0, 1):
+        inst = PpmInstance(_block_sum(pattern, n, rng, planted), pattern)
+        assert oracle.brute_force_count(inst, max_n=n) == planted
+        assert count_ppm(inst) == planted
+        assert detect_ppm(inst) == bool(planted)
 
 
 # -- lowerbound_family ---------------------------------------------------------
