@@ -19,7 +19,10 @@ Claims checked here:
       (n = 28..40), and prunes empty anchor prefixes while visiting
       members in family order, checking a member's prefixes before its
       leaf; it decides each leaf by the greedy chain on that leaf's
-      sorted segment values and never runs the counting DP
+      sorted segment values, decides a one-member family with that one
+      chain, and never runs the counting DP
+    - count_ppm and detect_ppm keep no stack frame per anchor: both run
+      at k // 2 = 1,200, past CPython's recursion limit
     - count_ppm hands dp.count_respecting each family member once, in
       family order
     - far past the oracle's default reach, count_ppm and detect_ppm match
@@ -36,7 +39,7 @@ from math import comb
 
 import pytest
 
-from ppm import cli, dp, oracle, solver
+from ppm import cli, dp, oracle
 from ppm.core import (
     Embedding,
     InstanceTooLarge,
@@ -311,6 +314,44 @@ def test_detect_short_circuits(monkeypatch):
     assert not found and len(leaves) == family_size(2, 2)
 
 
+def test_detect_decides_one_member_families_with_one_chain(monkeypatch):
+    # k // 2 == 0 or k // 2 == n // 2: member 1 is the whole family, so its
+    # own chain is the only check, whatever the answer.
+    calls = []
+    real = dp._has_chain
+
+    def chaining(buckets, order):
+        calls.append(order)
+        return real(buckets, order)
+
+    monkeypatch.setattr(dp, "_has_chain", chaining)
+    answers = set()
+    for n in range(1, 9):
+        for k in range(1, n + 1):
+            if k // 2 not in (0, n // 2):
+                continue
+            assert family_size(n, k) == 1
+            for seed in range(3):
+                inst = PpmInstance(random_permutation(n, 7000 + seed), random_permutation(k, 7100 + seed))
+                calls.clear()
+                answers.add(detect_ppm(inst))
+                assert len(calls) == 1, (n, k, seed)
+    assert answers == {True, False}
+
+
+def test_routes_do_not_recurse_per_anchor():
+    # The CLI admits k // 2 = 1,200, past CPython's recursion limit of 1,000.
+    inst = PpmInstance(_identity(2400), _identity(2400))
+    assert count_ppm(inst) == 1
+    assert detect_ppm(inst)
+    assert not detect_ppm(PpmInstance(_identity(2402), _anti_identity(2400)))
+    # Member 1 holds no occurrence but member 2 does, so the search first
+    # keeps all 1,199 prefixes of member 1's anchors (about 0.4 s).
+    text = Permutation(tuple(range(1, 2401)) + (2402, 2401))
+    pattern = Permutation(tuple(range(1, 2399)) + (2400, 2399))
+    assert detect_ppm(PpmInstance(text, pattern))
+
+
 def test_detect_matches_count_random():
     rng = random.Random(43)
     for _ in range(200):
@@ -370,35 +411,38 @@ def test_detect_invariant_under_symmetries():
 def _detect_visits(monkeypatch, inst):
     """detect_ppm's answer and the leaves it checked, in order.
 
-    A leaf is the member whose decomposition detect_ppm validates and then
-    decides with one greedy chain over the whole pattern order; prefix
-    checks chain over shorter orders. Each leaf's chain must run on the
-    sorted values of that leaf's segments, and the counting DP must not
-    run at all.
+    A leaf is a member that detect_ppm decides with one greedy chain over
+    the whole pattern order; prefix checks chain over shorter orders. Each
+    leaf's chain runs on the sorted values of that leaf's segments, which
+    name the family member uniquely, so the chain's buckets are looked up
+    among the family's; a miss fails the test. The counting DP must not run
+    at all.
     """
-    leaves, leaf_buckets = [], []
-    real_validate, real_chain = solver.validate_decomposition, dp._has_chain
-
-    def validating(d):
-        leaves.append(d)
-        real_validate(d)
+    n, k = inst.n, inst.k
+    sv = inst.sigma.values
+    family = {}
+    for g in enumerate_guesses(n, k):
+        d = decomposition_of_guess(g, n, k)
+        family[tuple(tuple(sorted(sv[lo - 1:hi])) for lo, hi in d.segments)] = d
+    assert len(family) == family_size(n, k)
+    leaves = []
+    real_chain = dp._has_chain
 
     def chaining(buckets, order):
-        if len(order) == inst.k:
-            leaf_buckets.append([list(v) for v in buckets])
+        if len(order) == k:
+            key = tuple(map(tuple, buckets))
+            assert key in family, "a full-order chain ran on no family member's segments"
+            leaves.append(family[key])
         return real_chain(buckets, order)
 
     def refuse(*args):
         raise AssertionError("detect_ppm ran the counting DP")
 
     with monkeypatch.context() as m:
-        m.setattr(solver, "validate_decomposition", validating)
         m.setattr(dp, "_has_chain", chaining)
         m.setattr(dp, "count_respecting", refuse)
         m.setattr(dp, "_count_levels", refuse)
         found = detect_ppm(inst)
-    sv = inst.sigma.values
-    assert leaf_buckets == [[sorted(sv[lo - 1:hi]) for lo, hi in d.segments] for d in leaves]
     return found, leaves
 
 
@@ -460,6 +504,29 @@ def test_detect_checks_prefixes_before_leaves(monkeypatch):
             zero_leaves += k % 2 == 0 and dp.count_respecting(inst, d) == 0
         later_leaves += len(visited) - 1
     assert later_leaves > 100 and zero_leaves > 0
+
+
+def test_detect_checks_each_leaf_once_in_family_order(monkeypatch):
+    # Member 1 is decided before the search, so the search must skip it.
+    # In an identity text every prefix of an increasing pattern holds, so a
+    # pattern ending in a descent fails every member and all are leaves.
+    rng = random.Random(63)
+    cases = [
+        PpmInstance(_identity(n), Permutation(tuple(range(1, k - 1)) + (k, k - 1)))
+        for n, k in ((10, 6), (13, 7), (16, 8))
+    ]
+    for _ in range(20):
+        n = rng.randint(12, 18)
+        k = rng.randint(n // 4, n // 2)
+        cases.append(PpmInstance(random_permutation(n, rng.getrandbits(32)), random_permutation(k, rng.getrandbits(32))))
+    for inst in cases:
+        n, k = inst.n, inst.k
+        rank = {decomposition_of_guess(g, n, k): i for i, g in enumerate(enumerate_guesses(n, k))}
+        _, visited = _detect_visits(monkeypatch, inst)
+        ranks = [rank[d] for d in visited]
+        assert ranks == sorted(set(ranks))
+        if inst.sigma == _identity(n):
+            assert len(visited) == family_size(n, k)
 
 
 def test_detect_matches_count_past_oracle():
