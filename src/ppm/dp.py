@@ -33,9 +33,14 @@ positions in the same order, each at the smallest value of its sorted
 bucket above the previous one, found by one C-level bisect per level. A
 placement exists exactly when this greedy chain never runs off a bucket:
 if any increasing placement y exists, then by induction the greedy value
-g_i <= y_i at every level, so the greedy step never fails. Detection
-rests on this alone: it decides anchor prefixes and whole family members
-(its leaves) by the chain and never runs the counting DP.
+g_i <= y_i at every level, so the greedy step never fails. The same
+argument holds when some positions share one list of candidate values
+instead of their own buckets: :func:`_fits` places the pattern positions
+of an anchor prefix in their buckets and every later position in the
+sorted text after the prefix, which every occurrence below the prefix
+also satisfies. Detection rests on these two chains alone: it decides
+anchor prefixes by :func:`_fits`, whole family members (its leaves) by
+:func:`_has_chain`, and never runs the counting DP.
 """
 
 from __future__ import annotations
@@ -163,3 +168,59 @@ def _has_chain(buckets: list[list[int]], order: Sequence[int]) -> bool:
             return False
         prev = vals[i]
     return True
+
+
+def _place(
+    steps: list[tuple[int, int]], placed: list[int], v: int, pinv: Sequence[int]
+) -> None:
+    """Add pattern value v to `placed` and its step to the `steps` :func:`_fits` takes.
+
+    `placed` holds the pattern values at the prefix positions, sorted, and
+    `pinv` is the pattern's inverse. `steps` pairs the position of each
+    placed value, in the same order, with its gap: the number of unplaced
+    values between it and the placed value before it (or 0). Inserting v
+    sets its own gap and shortens the gap of the value after it; every
+    other step stays the same tuple, so copies of `steps` share them.
+    """
+    i = bisect_right(placed, v)
+    placed.insert(i, v)
+    steps.insert(i, (pinv[v - 1], v - (placed[i - 1] if i else 0) - 1))
+    if i + 1 < len(placed):
+        w = placed[i + 1]
+        steps[i + 1] = (pinv[w - 1], w - v - 1)
+
+
+def _fits(
+    buckets: list[list[int]], steps: Sequence[tuple[int, int]], tail: int, rest: Sequence[int]
+) -> bool:
+    """Whether the whole pattern chains when later positions draw from `rest`.
+
+    Detection's prefix check. `steps` comes from :func:`_place`, and `tail`
+    counts the unplaced pattern values above the largest placed one. Each
+    placed (prefix) position takes a value from its sorted bucket, as in
+    :func:`_has_chain`; each later position takes any value of the sorted
+    list `rest`. In an occurrence confined to a member below the prefix,
+    every later position lies right of the prefix's last anchor a. With
+    `rest` the sorted text values after position a, this is a relaxation:
+    when it fails, no such member holds an occurrence. It never keeps a
+    prefix that :func:`_has_chain` over the placed positions alone drops.
+
+    The greedy chain decides the relaxation exactly, by the argument in the
+    module docstring. A gap of g later positions takes the g smallest values
+    of `rest` above the previous value, found by one bisect, and the tail
+    needs that many values of `rest` above the last placed one. A check
+    costs O(len(steps)) bisects, whatever the pattern's length.
+    """
+    prev = 0
+    for p, gap in steps:
+        if gap:
+            i = bisect_right(rest, prev) + gap - 1
+            if i >= len(rest):
+                return False
+            prev = rest[i]
+        vals = buckets[p - 1]
+        i = bisect_right(vals, prev)
+        if i == len(vals):
+            return False
+        prev = vals[i]
+    return bisect_right(rest, prev) + tail <= len(rest)

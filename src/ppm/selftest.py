@@ -7,9 +7,10 @@ cover, and the sizes of the anchor and lower-bound families. `run_suites`
 runs them beside five single-module suites on small corpora scaled by
 `max_n`; the acceptance gate runs them on its pinned corpora. The corpus
 builders draw the same instances wherever they are used. The
-`dp-matches-enumeration` suite also states the invariant detection's
-leaves rest on: the greedy chain over a member's sorted segment values
-holds exactly when the member's confined count is nonzero.
+`dp-matches-enumeration` suite also states the invariants detection
+rests on: the greedy chain over a member's sorted segment values holds
+exactly when the member's confined count is nonzero, and the prefix
+check holds at every anchor prefix of a member with a nonzero count.
 """
 
 from __future__ import annotations
@@ -216,12 +217,20 @@ def _suite_dp_enumeration(max_n: int) -> str:
         want = sum(1 for f in oracle.brute_force_enumerate(inst) if respects(f, d))
         # Detection's leaf check: the greedy chain holds exactly when the count is nonzero.
         buckets = [sorted(v) for v in dp._segment_value_buckets(inst.sigma, d.segments)]
-        chain_holds = dp._has_chain(buckets, inst.pattern.inverse_values)
+        pinv = inst.pattern.inverse_values
+        chain_holds = dp._has_chain(buckets, pinv)
+        where = f"sigma={inst.sigma.values} pat={inst.pattern.values} segs={d.segments}"
         if got != want or chain_holds != (want > 0):
-            return (
-                f"count_respecting={got} chain={chain_holds} but enumeration says {want} on "
-                f"sigma={inst.sigma.values} pat={inst.pattern.values} segs={d.segments}"
-            )
+            return f"count_respecting={got} chain={chain_holds} but enumeration says {want} on {where}"
+        # Detection's prefix check: it keeps every prefix of a member with a nonzero count.
+        placed: list[int] = []
+        steps: list[tuple[int, int]] = []
+        for j, (a, _) in enumerate(d.segments[1::2]):
+            dp._place(steps, placed, inst.pattern.values[2 * j], pinv)
+            dp._place(steps, placed, inst.pattern.values[2 * j + 1], pinv)
+            rest = sorted(inst.sigma.values[a:])
+            if want and not dp._fits(buckets, steps, inst.k - placed[-1], rest):
+                return f"prefix check fails at anchor {a} but enumeration says {want} on {where}"
     return ""
 
 

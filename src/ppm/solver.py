@@ -23,13 +23,14 @@ needs only whether some member holds an occurrence, which
 It searches the same family in the same order, depth first over the
 anchors, and prunes it by anchor prefix: the first 2j segments of a
 member depend only on its first j anchors, and an occurrence confined to
-the member restricts to an occurrence of pattern positions 1..2j confined
-to those segments. The sorted segment values of a prefix are computed
-once and shared by every member below it. When a prefix has no
-occurrence, no member sharing it holds one, so the search skips all of
-them and the answer stays exact. Pruning depends on the instance; where
-no prefix is empty the search still reaches all binom(n//2, k//2)
-members, so the worst case is unchanged.
+the member places pattern positions 1..2j inside those segments and every
+later position right of the j-th anchor. ``dp._fits`` decides whether the
+whole pattern can be placed that way, one bisect per prefix position. The
+sorted segment values of a prefix are computed once and shared by every
+member below it. When a prefix fails, no member sharing it holds an
+occurrence, so the search skips all of them and the answer stays exact.
+Pruning depends on the instance; where no prefix fails the search still
+reaches all binom(n//2, k//2) members, so the worst case is unchanged.
 """
 
 from __future__ import annotations
@@ -145,20 +146,24 @@ def detect_ppm(instance: PpmInstance) -> bool:
     Decides member 1 first, by one greedy chain over its whole pattern
     order. Then searches the family depth first, in the lexicographic
     order of :func:`enumerate_guesses`, and returns True at the first
-    member that holds an occurrence. Placing anchor j fixes the two
+    member that holds an occurrence. Placing anchor j at a fixes the two
     segments of pattern positions 2j + 1 and 2j + 2, whose sorted values
     are pushed on a stack shared by every member below that prefix. For
-    j < k//2 - 1, the prefix is kept only if positions 1..2j + 2 chain
-    inside its segments: an occurrence confined to a member restricts to
-    one confined to the member's prefix, so an empty prefix rules out
-    every member sharing it and the answer stays exact. Placing the last
-    anchor completes a member, its leaf; every leaf but member 1, already
-    decided, gets one chain over the whole pattern order. Every check is
-    ``dp._has_chain``, with one bisect per pattern position; detection
-    never runs the counting DP and never rebuilds a decomposition. The
-    search keeps its own stacks rather than recursing, since k//2 may
-    exceed Python's recursion limit. Where no prefix is empty it still
-    reaches all binom(n//2, k//2) leaves.
+    j < k//2 - 1, the prefix is kept only if the whole pattern chains with
+    positions 1..2j + 2 inside their segments and every later position
+    right of a (``dp._fits``). An occurrence confined to a member below the
+    prefix is such a chain, so a prefix that fails rules out every member
+    sharing it and the answer stays exact. Placing the last anchor
+    completes a member, its leaf; every leaf but member 1, already
+    decided, gets one ``dp._has_chain`` over the whole pattern order.
+    Checks cost one bisect per placed position, so a prefix check at depth
+    j is O(j) whatever k is. The steps of depth j are built once from
+    those of depth j - 1, and the sorted text after a once per a, and only
+    when a prefix check first needs them. Detection never runs the
+    counting DP and never rebuilds a decomposition. The search keeps its
+    own stacks rather than recursing, since k//2 may exceed Python's
+    recursion limit. Where no prefix fails it still reaches all
+    binom(n//2, k//2) leaves.
     """
     n, k = instance.n, instance.k
     r = k // 2
@@ -170,7 +175,10 @@ def detect_ppm(instance: PpmInstance) -> bool:
     if r == 0 or r == n // 2:  # member 1 is the whole family
         return False
     last = 2 * (n // 2 - r)  # anchor j (0-based) runs up to last + 2 * (j + 1)
-    orders: list[list[int]] = []  # orders[j]: positions 1..2j + 2 by value
+    pv = instance.pattern.values
+    placed: list[int] = []  # pattern values at positions 1..2j + 2, sorted
+    steps: list[tuple[list[tuple[int, int]], int]] = []  # steps[j]: dp._fits's steps and tail
+    rests: dict[int, list[int]] = {}  # rests[a]: sorted text values after position a
     anchors = [0]  # the kept prefix a1..aj, then anchor j being stepped
     buckets: list[list[int]] = []  # sorted values on the segments a1..aj fix
     while anchors:
@@ -184,9 +192,15 @@ def detect_ppm(instance: PpmInstance) -> bool:
         hi = min(a + 1, n)
         buckets += (sorted(sv[lo - 1:a]), sorted(sv[a - 1:hi]))
         if j < r - 1:
-            if j == len(orders):
-                orders.append([p for p in pinv if p <= 2 * j + 2])
-            if dp._has_chain(buckets, orders[j]):
+            if j == len(steps):
+                pairs = steps[-1][0][:] if j else []
+                dp._place(pairs, placed, pv[2 * j], pinv)
+                dp._place(pairs, placed, pv[2 * j + 1], pinv)
+                steps.append((pairs, k - placed[-1]))
+            rest = rests.get(a)
+            if rest is None:
+                rest = rests[a] = sorted(sv[a:])
+            if dp._fits(buckets, *steps[j], rest):
                 anchors.append(a)
         elif a != 2 * r:
             if k % 2:

@@ -10,8 +10,11 @@ Claims checked here:
       the stated bounds and the cursor only moves forward
     - the result ignores text values outside the segments (re-ranking)
     - the greedy chain says whether the DP count is nonzero, on every
-      family member and every prefix order detection checks, and it needs
-      strictly increasing values where neighbouring buckets share one
+      family member and every prefix order, and it needs strictly
+      increasing values where neighbouring buckets share one
+    - detection's prefix check (_fits, on _place's steps) holds on every
+      anchor prefix that some nonzero member shares, and only where the
+      prefix positions chain alone; it drops many prefixes that chain
     - malformed decompositions are rejected with the documented errors
 """
 
@@ -26,9 +29,18 @@ from ppm.core import (
     Permutation,
     PpmInstance,
     SegmentDecomposition,
+    pattern_of,
     respects,
 )
-from ppm.dp import DpStats, _count_levels, _has_chain, _segment_value_buckets, count_respecting
+from ppm.dp import (
+    DpStats,
+    _count_levels,
+    _fits,
+    _has_chain,
+    _place,
+    _segment_value_buckets,
+    count_respecting,
+)
 from ppm.selftest import all_permutations, random_family_decomposition, random_instance
 
 
@@ -244,6 +256,82 @@ def test_has_chain_agrees_with_count_on_family_prefixes():
                 checked += 1
                 nonzero += want
     assert nonzero > 1000 and checked - nonzero > 1000
+
+
+def _placed_steps(values, pinv):
+    """The sorted values, steps and tail of _fits for pattern values placed in this order."""
+    placed, steps = [], []
+    for v in values:
+        _place(steps, placed, v, pinv)
+    return placed, steps, len(pinv) - placed[-1]
+
+
+def test_place_builds_gaps_and_tail():
+    # Pattern 3 6 1 5 2 4 (inverse 3 5 1 6 4 2): positions 1..4 carry 3, 6, 1, 5.
+    pinv = (3, 5, 1, 6, 4, 2)
+    placed, steps, tail = _placed_steps((3, 6, 1, 5), pinv)
+    assert placed == [1, 3, 5, 6]
+    assert steps == [(3, 0), (1, 1), (4, 1), (2, 0)]
+    assert tail == 0
+    placed, steps, tail = _placed_steps((3, 6), pinv)
+    assert steps == [(1, 2), (2, 2)] and tail == 0
+    placed, steps, tail = _placed_steps((3,), pinv)
+    assert steps == [(1, 2)] and tail == 3
+
+
+def test_fits_is_strict_and_counts_the_later_positions():
+    # Pattern 1 3 2 with position 1 placed: values 2 and 3 are later, the tail.
+    _, steps, tail = _placed_steps((1,), (1, 3, 2))
+    assert steps == [(1, 0)] and tail == 2
+    assert _fits([[2]], steps, tail, [3, 4])
+    # The tail needs two values above the placed one; the shared 2 is not above it.
+    assert not _fits([[2]], steps, tail, [2, 3])
+    assert not _fits([[2]], steps, tail, [1, 4])
+    # Pattern 2 1 3 with position 1 placed: one later value below it, one above.
+    _, steps, tail = _placed_steps((2,), (2, 1, 3))
+    assert steps == [(1, 1)] and tail == 1
+    assert _fits([[3]], steps, tail, [1, 4])
+    assert not _fits([[3]], steps, tail, [3, 4])
+    assert not _fits([[3]], steps, tail, [1, 2])
+
+
+def test_fits_is_sound_and_stronger_on_every_prefix():
+    # Every member and every prefix depth j < k//2 - 1 detection checks, at
+    # 4 <= k <= n <= 8: the check holds whenever some member sharing the
+    # prefix has a nonzero count, and only if positions 1..2j + 2 chain alone.
+    rng = random.Random(73)
+    checked = live = pruned_by_rest = 0
+    for n in range(4, 9):
+        for k in range(4, n + 1):
+            r = k // 2
+            members = list(solver.enumerate_guesses(n, k))
+            for t in range(300):
+                sigma = Permutation(tuple(rng.sample(range(1, n + 1), n)))
+                if t % 2:
+                    positions = sorted(rng.sample(range(n), k))
+                    pattern = pattern_of([sigma.values[p] for p in positions])
+                else:
+                    pattern = Permutation(tuple(rng.sample(range(1, k + 1), k)))
+                inst = PpmInstance(sigma, pattern)
+                sv, pv, pinv = sigma.values, pattern.values, pattern.inverse_values
+                nonzero = set()
+                for g in members:
+                    if count_respecting(inst, solver.decomposition_of_guess(g, n, k)):
+                        nonzero.update(g[:j + 1] for j in range(r))
+                for j in range(r - 1):
+                    placed, steps, tail = _placed_steps(pv[:2 * j + 2], pinv)
+                    order = [pinv[v - 1] for v in placed]
+                    for prefix in sorted({g[:j + 1] for g in members}):
+                        b = solver._boundaries(prefix, n, k)[:2 * j + 3]
+                        buckets = [sorted(sv[lo - 1:hi]) for lo, hi in zip(b, b[1:])]
+                        fits = _fits(buckets, steps, tail, sorted(sv[prefix[-1]:]))
+                        chain = _has_chain(buckets, order)
+                        assert fits or prefix not in nonzero, (inst, prefix)
+                        assert chain or not fits, (inst, prefix)
+                        checked += 1
+                        live += prefix in nonzero
+                        pruned_by_rest += chain and not fits
+    assert live > 3000 and pruned_by_rest > 3000 and checked - live - pruned_by_rest > 1500
 
 
 # -- independence from uncovered positions -----------------------------------

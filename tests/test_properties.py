@@ -5,9 +5,13 @@ Claims checked here:
       is positive, on arbitrary (text, pattern) pairs
     - the same on planted pairs, whose pattern is the order pattern of a
       subsequence of the text, so the count is at least one
-    - the greedy chain, detection's prefix check, holds exactly when the
+    - the greedy chain, detection's leaf check, holds exactly when the
       counting DP is nonzero, on arbitrary sorted buckets over 1..12 and
       an arbitrary order of their positions
+    - detection's prefix check holds exactly when some value-increasing
+      assignment puts the placed positions in their buckets and every
+      later position in the shared list, on arbitrary patterns, buckets
+      and lists over 1..12
     - the counting DP gives the same count and the same operation counts
       on buckets in text order as on the same buckets sorted
 
@@ -19,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ppm.core import Permutation, PpmInstance, pattern_of
-from ppm.dp import DpStats, _count_levels, _has_chain
+from ppm.dp import DpStats, _count_levels, _fits, _has_chain, _place
 from ppm.oracle import brute_force_count
 from ppm.solver import count_ppm, detect_ppm
 
@@ -51,6 +55,18 @@ def buckets_and_order(draw):
 def shuffled_buckets_and_order(draw):
     buckets, order = draw(buckets_and_order())
     return [draw(st.permutations(b)) for b in buckets], order
+
+
+@st.composite
+def prefix_cases(draw):
+    # The shared list draws from the buckets' range, so it often repeats a
+    # bucket value, as the text after an anchor repeats the value there.
+    k = draw(st.integers(1, 7))
+    pattern = draw(st.permutations(range(1, k + 1)))
+    m = draw(st.integers(1, k))
+    buckets = [sorted(draw(st.sets(st.integers(1, 12), min_size=1))) for _ in range(m)]
+    rest = sorted(draw(st.sets(st.integers(1, 12))))
+    return pattern, buckets, rest
 
 
 @st.composite
@@ -95,3 +111,32 @@ def test_count_is_independent_of_bucket_order(case):
     got = _count_levels(buckets, order, unsorted_stats)
     assert got == _count_levels([sorted(b) for b in buckets], order, sorted_stats)
     assert unsorted_stats == sorted_stats
+
+
+def _fits_directly(pattern, buckets, rest):
+    """Whether the prefix check's relaxation holds, by trying every assignment.
+
+    Values must increase in pattern-value order. Position p <= len(buckets)
+    draws from buckets[p - 1], and every later position from `rest`.
+    """
+    where = {v: p for p, v in enumerate(pattern, start=1)}
+
+    def place(v, prev):
+        if v > len(pattern):
+            return True
+        p = where[v]
+        pool = buckets[p - 1] if p <= len(buckets) else rest
+        return any(place(v + 1, x) for x in pool if x > prev)
+
+    return place(1, 0)
+
+
+@_settings
+@given(prefix_cases())
+def test_prefix_check_matches_direct_search(case):
+    pattern, buckets, rest = case
+    pinv = Permutation(tuple(pattern)).inverse_values
+    placed, steps = [], []
+    for v in pattern[:len(buckets)]:
+        _place(steps, placed, v, pinv)
+    assert _fits(buckets, steps, len(pattern) - placed[-1], rest) == _fits_directly(pattern, buckets, rest)

@@ -16,11 +16,16 @@ Claims checked here:
       and monotone texts and patterns meet their closed forms (n <= 32)
     - detect_ppm short-circuits at the first nonzero member, finds
       planted patterns and keeps its answer under the symmetries
-      (n = 28..40), and prunes empty anchor prefixes while visiting
-      members in family order, checking a member's prefixes before its
-      leaf; it decides each leaf by the greedy chain on that leaf's
-      sorted segment values, decides a one-member family with that one
-      chain, and never runs the counting DP
+      (n = 28..40), and prunes anchor prefixes while visiting members in
+      family order, checking a member's prefixes before its leaf; it
+      decides each leaf by the greedy chain on that leaf's sorted segment
+      values, decides a one-member family with that one chain, and never
+      runs the counting DP
+    - its prefix check places the whole pattern, the later positions right
+      of the prefix: it keeps only prefixes whose own positions chain, and
+      strictly fewer than a check of those positions alone
+    - detect_ppm says whether count_ppm is positive at k = n/2 +- 2,
+      n = 14..22, both parities, where the search keeps deep prefixes
     - count_ppm and detect_ppm keep no stack frame per anchor: both run
       at k // 2 = 1,200, past CPython's recursion limit
     - count_ppm hands dp.count_respecting each family member once, in
@@ -28,6 +33,9 @@ Claims checked here:
     - far past the oracle's default reach, count_ppm and detect_ppm match
       brute_force_count(max_n=n) on random, planted and sparse texts with
       k <= 4 up to n = 200 and k = 5..6 up to n = 100
+    - further still, they match an O(n log n) Fenwick counter for every
+      pattern with k <= 3 at n = 500..2,000, on uniform and nearly sorted
+      texts; the counter itself matches brute force at n <= 12
     - the lower-bound construction yields binom((n-1)//2, k//2) distinct
       valid members
 """
@@ -346,7 +354,7 @@ def test_routes_do_not_recurse_per_anchor():
     assert detect_ppm(inst)
     assert not detect_ppm(PpmInstance(_identity(2402), _anti_identity(2400)))
     # Member 1 holds no occurrence but member 2 does, so the search first
-    # keeps all 1,199 prefixes of member 1's anchors (about 0.4 s).
+    # keeps all 1,199 prefixes of member 1's anchors (about 0.35 s).
     text = Permutation(tuple(range(1, 2401)) + (2402, 2401))
     pattern = Permutation(tuple(range(1, 2399)) + (2400, 2399))
     assert detect_ppm(PpmInstance(text, pattern))
@@ -412,7 +420,7 @@ def _detect_visits(monkeypatch, inst):
     """detect_ppm's answer and the leaves it checked, in order.
 
     A leaf is a member that detect_ppm decides with one greedy chain over
-    the whole pattern order; prefix checks chain over shorter orders. Each
+    the whole pattern order; prefix checks go through dp._fits instead. Each
     leaf's chain runs on the sorted values of that leaf's segments, which
     name the family member uniquely, so the chain's buckets are looked up
     among the family's; a miss fails the test. The counting DP must not run
@@ -484,6 +492,17 @@ def _prefix_count(inst, d, j):
     return dp.count_respecting(prefix, SegmentDecomposition(d.segments[:2 * j], inst.n))
 
 
+def _prefix_corpus():
+    """40 seeded random instances with 16 <= n <= 20 and n // 4 <= k <= n // 2."""
+    rng = random.Random(61)
+    corpus = []
+    for _ in range(40):
+        n = rng.randint(16, 20)
+        k = rng.randint(n // 4, n // 2)
+        corpus.append(PpmInstance(random_permutation(n, rng.getrandbits(32)), random_permutation(k, rng.getrandbits(32))))
+    return corpus
+
+
 def test_detect_checks_prefixes_before_leaves(monkeypatch):
     absent = PpmInstance(random_permutation(28, 28), random_permutation(14, 14))
     found, visited = _detect_visits(monkeypatch, absent)
@@ -491,12 +510,9 @@ def test_detect_checks_prefixes_before_leaves(monkeypatch):
     # Member 1 is always the first leaf. Past it, a leaf is reached only
     # through nonempty prefixes of every depth below k//2, and the leaf
     # alone decides the member: with even k some such leaves count zero.
-    rng = random.Random(61)
     later_leaves = zero_leaves = 0
-    for _ in range(40):
-        n = rng.randint(16, 20)
-        k = rng.randint(n // 4, n // 2)
-        inst = PpmInstance(random_permutation(n, rng.getrandbits(32)), random_permutation(k, rng.getrandbits(32)))
+    for inst in _prefix_corpus():
+        n, k = inst.n, inst.k
         _, visited = _detect_visits(monkeypatch, inst)
         assert visited[0] == decomposition_of_guess(next(enumerate_guesses(n, k)), n, k)
         for d in visited[1:]:
@@ -504,6 +520,48 @@ def test_detect_checks_prefixes_before_leaves(monkeypatch):
             zero_leaves += k % 2 == 0 and dp.count_respecting(inst, d) == 0
         later_leaves += len(visited) - 1
     assert later_leaves > 100 and zero_leaves > 0
+
+
+def _prefix_checks(monkeypatch, inst, check):
+    """detect_ppm's answer when `check` stands in for dp._fits, with its checks and kept prefixes."""
+    calls = []
+
+    def recording(buckets, steps, tail, rest):
+        kept = check(buckets, steps, tail, rest)
+        calls.append(kept)
+        return kept
+
+    with monkeypatch.context() as m:
+        m.setattr(dp, "_fits", recording)
+        found = detect_ppm(inst)
+    return found, len(calls), sum(calls)
+
+
+def test_detect_prunes_by_the_whole_pattern(monkeypatch):
+    # dp._fits places the later positions too, so it keeps no prefix that the
+    # placed positions alone would drop, and strictly fewer in all.
+    real_fits = dp._fits
+
+    def fits(buckets, steps, tail, rest):
+        kept = real_fits(buckets, steps, tail, rest)
+        assert not kept or dp._has_chain(buckets, [p for p, _ in steps])
+        return kept
+
+    def prefix_only(buckets, steps, tail, rest):
+        return dp._has_chain(buckets, [p for p, _ in steps])
+
+    absent = PpmInstance(random_permutation(28, 28), random_permutation(14, 14))
+    found, checks, kept = _prefix_checks(monkeypatch, absent, fits)
+    assert (found, checks, kept) == (False, 24, 3)
+    assert _prefix_checks(monkeypatch, absent, prefix_only) == (False, 95, 19)
+    total = total_prefix_only = 0
+    for inst in _prefix_corpus():
+        found, checks, kept = _prefix_checks(monkeypatch, inst, fits)
+        found_alone, checks_alone, kept_alone = _prefix_checks(monkeypatch, inst, prefix_only)
+        assert found == found_alone and checks <= checks_alone and kept <= kept_alone
+        total += kept
+        total_prefix_only += kept_alone
+    assert total < total_prefix_only
 
 
 def test_detect_checks_each_leaf_once_in_family_order(monkeypatch):
@@ -539,6 +597,23 @@ def test_detect_matches_count_past_oracle():
         else:
             inst = PpmInstance(random_permutation(n, rng.getrandbits(32)), random_permutation(k, rng.getrandbits(32)))
         assert detect_ppm(inst) == (count_ppm(inst) > 0)
+
+
+def test_detect_matches_count_near_half():
+    # k near n / 2, where the search keeps prefixes of several depths.
+    rng = random.Random(64)
+    found = set()
+    for i in range(300):
+        n = rng.randint(14, 22)
+        k = n // 2 + rng.randint(-2, 2)
+        if i % 2:
+            inst, _ = _planted(n, k, seed=rng.getrandbits(32))
+        else:
+            inst = PpmInstance(random_permutation(n, rng.getrandbits(32)), random_permutation(k, rng.getrandbits(32)))
+        want = count_ppm(inst) > 0
+        assert detect_ppm(inst) == want
+        found.add((want, k % 2))
+    assert len(found) == 4
 
 
 # -- past the oracle's default reach: brute force with max_n = n ---------------
@@ -598,6 +673,102 @@ def test_routes_match_brute_force_on_sparse_texts(n, k):
         assert oracle.brute_force_count(inst, max_n=n) == planted
         assert count_ppm(inst) == planted
         assert detect_ppm(inst) == bool(planted)
+
+
+# -- far past brute force: every pattern with k <= 3 by a Fenwick counter -----
+
+_SHORT_PATTERNS = [(1,), (1, 2), (2, 1), *permutations((1, 2, 3))]
+
+
+def _fenwick_counts(sigma):
+    """Occurrences of every pattern with k <= 3 in `sigma`, in O(n log n).
+
+    One pass over the text with a Fenwick tree of the values seen gives,
+    for each entry v at 0-based position j, the number `ll` of earlier
+    values below it. The counts of earlier values above it and of later
+    values below and above it follow from j and v. A 3-pattern count is a
+    sum over the entries of products of these four: 123 and 321 sum over
+    the middle entry, and the sums over a middle peak, a middle valley, a
+    smallest first entry and a largest last entry give 132 + 231,
+    213 + 312, 123 + 132 and 123 + 213. This is the counting that corner
+    trees generalise.
+    """
+    sv = sigma.values
+    n = len(sv)
+    tree = [0] * (n + 1)
+    up = down = rise3 = fall3 = peak = valley = low_first = high_last = 0
+    for j, v in enumerate(sv):
+        ll, i = 0, v
+        while i:
+            ll += tree[i]
+            i &= i - 1
+        i = v
+        while i <= n:
+            tree[i] += 1
+            i += i & -i
+        lg = j - ll
+        rl = v - 1 - ll
+        rg = n - 1 - j - rl
+        up += ll
+        down += lg
+        rise3 += ll * rg
+        fall3 += lg * rl
+        peak += ll * rl
+        valley += lg * rg
+        low_first += rg * (rg - 1) // 2
+        high_last += ll * (ll - 1) // 2
+    c132 = low_first - rise3
+    c213 = high_last - rise3
+    return {
+        (1,): n, (1, 2): up, (2, 1): down,
+        (1, 2, 3): rise3, (1, 3, 2): c132, (2, 1, 3): c213,
+        (2, 3, 1): peak - c132, (3, 1, 2): valley - c213, (3, 2, 1): fall3,
+    }
+
+
+def test_fenwick_counter_matches_brute_force():
+    texts = [p for n in range(1, 7) for p in permutations(range(1, n + 1))]
+    rng = random.Random(65)
+    texts += [random_permutation(n, rng.getrandbits(32)).values for n in range(7, 13) for _ in range(20)]
+    for values in texts:
+        sigma = Permutation(tuple(values))
+        counts = _fenwick_counts(sigma)
+        for k in range(1, min(3, len(values)) + 1):
+            patterns = [p for p in _SHORT_PATTERNS if len(p) == k]
+            for p in patterns:
+                assert counts[p] == oracle.brute_force_count(PpmInstance(sigma, Permutation(p))), (values, p)
+            assert sum(counts[p] for p in patterns) == comb(len(values), k)
+
+
+def _nearly_sorted(n, rng):
+    """The identity with four seeded disjoint adjacent swaps: four inversions, no 3-descent."""
+    values = list(range(1, n + 1))
+    for i in rng.sample(range(0, n - 1, 2), 4):
+        values[i], values[i + 1] = values[i + 1], values[i]
+    return Permutation(tuple(values))
+
+
+# Uniform texts of both parities, and a nearly sorted one where some patterns
+# are rare or absent, so detection walks far into the family.
+@pytest.mark.parametrize(
+    "n,shape,patterns",
+    [
+        (500, "uniform", _SHORT_PATTERNS),
+        (1001, "uniform", _SHORT_PATTERNS),
+        (2000, "uniform", [(2, 1), (1, 3, 2), (3, 1, 2)]),
+        (999, "sorted", _SHORT_PATTERNS),
+    ],
+)
+def test_routes_match_fenwick_counter(n, shape, patterns):
+    rng = random.Random(7000 + n)
+    sigma = random_permutation(n, rng.getrandbits(32)) if shape == "uniform" else _nearly_sorted(n, rng)
+    counts = _fenwick_counts(sigma)
+    for p in patterns:
+        inst = PpmInstance(sigma, Permutation(p))
+        assert count_ppm(inst) == counts[p], p
+        assert detect_ppm(inst) == (counts[p] > 0), p
+    if shape == "sorted":
+        assert counts[2, 1] == 4 and counts[2, 3, 1] == counts[3, 1, 2] == counts[3, 2, 1] == 0
 
 
 # -- lowerbound_family ---------------------------------------------------------
