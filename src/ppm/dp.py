@@ -34,13 +34,13 @@ bucket above the previous one, found by one C-level bisect per level. A
 placement exists exactly when this greedy chain never runs off a bucket:
 if any increasing placement y exists, then by induction the greedy value
 g_i <= y_i at every level, so the greedy step never fails. The same
-argument holds when some positions share one list of candidate values
-instead of their own buckets: :func:`_fits` places the pattern positions
-of an anchor prefix in their buckets and every later position in the
-sorted text after the prefix, which every occurrence below the prefix
-also satisfies. Detection rests on these two chains alone: it decides
-anchor prefixes by :func:`_fits`, whole family members (its leaves) by
-:func:`_has_chain`, and never runs the counting DP.
+argument holds when the positions past the last bucket share one sorted
+list of candidate values instead of their own buckets. Detection passes
+the buckets of an anchor prefix and, as that list, the sorted text after
+the prefix's last anchor, where every occurrence confined to a member
+below the prefix places its later positions. It decides member 1, every
+anchor prefix and every leaf by this one chain and never runs the
+counting DP.
 """
 
 from __future__ import annotations
@@ -153,74 +153,35 @@ def _count_levels(
     return sum(prev_c)
 
 
-def _has_chain(buckets: list[list[int]], order: Sequence[int]) -> bool:
-    """Whether ``_count_levels(buckets, order, None)`` is nonzero.
-
-    Each bucket must be sorted. Takes, for each position in `order`, the
-    smallest value of its bucket above the previous one; text values are
-    at least 1, so 0 sits below all of them.
-    """
-    prev = 0
-    for p in order:
-        vals = buckets[p - 1]
-        i = bisect_right(vals, prev)
-        if i == len(vals):
-            return False
-        prev = vals[i]
-    return True
-
-
-def _place(
-    steps: list[tuple[int, int]], placed: list[int], v: int, pinv: Sequence[int]
-) -> None:
-    """Add pattern value v to `placed` and its step to the `steps` :func:`_fits` takes.
-
-    `placed` holds the pattern values at the prefix positions, sorted, and
-    `pinv` is the pattern's inverse. `steps` pairs the position of each
-    placed value, in the same order, with its gap: the number of unplaced
-    values between it and the placed value before it (or 0). Inserting v
-    sets its own gap and shortens the gap of the value after it; every
-    other step stays the same tuple, so copies of `steps` share them.
-    """
-    i = bisect_right(placed, v)
-    placed.insert(i, v)
-    steps.insert(i, (pinv[v - 1], v - (placed[i - 1] if i else 0) - 1))
-    if i + 1 < len(placed):
-        w = placed[i + 1]
-        steps[i + 1] = (pinv[w - 1], w - v - 1)
-
-
-def _fits(
-    buckets: list[list[int]], steps: Sequence[tuple[int, int]], tail: int, rest: Sequence[int]
+def _has_chain(
+    buckets: Sequence[Sequence[int]], order: Sequence[int], rest: Sequence[int] = ()
 ) -> bool:
-    """Whether the whole pattern chains when later positions draw from `rest`.
+    """Whether the positions in `order` chain, later ones drawing from `rest`.
 
-    Detection's prefix check. `steps` comes from :func:`_place`, and `tail`
-    counts the unplaced pattern values above the largest placed one. Each
-    placed (prefix) position takes a value from its sorted bucket, as in
-    :func:`_has_chain`; each later position takes any value of the sorted
-    list `rest`. In an occurrence confined to a member below the prefix,
-    every later position lies right of the prefix's last anchor a. With
-    `rest` the sorted text values after position a, this is a relaxation:
-    when it fails, no such member holds an occurrence. It never keeps a
-    prefix that :func:`_has_chain` over the placed positions alone drops.
-
-    The greedy chain decides the relaxation exactly, by the argument in the
-    module docstring. A gap of g later positions takes the g smallest values
-    of `rest` above the previous value, found by one bisect, and the tail
-    needs that many values of `rest` above the last placed one. A check
-    costs O(len(steps)) bisects, whatever the pattern's length.
+    `order` lists pattern positions by increasing pattern value. Position p
+    takes the smallest value above the previous one from ``buckets[p - 1]``,
+    or from `rest` once p > len(buckets); all of them must be sorted, and
+    text values are at least 1, so 0 sits below all of them. With no such
+    later position this says whether ``_count_levels(buckets, order, None)``
+    is nonzero. A run of g later positions takes the g smallest values of
+    `rest` above the previous one with one bisect, so a check makes
+    O(len(buckets)) bisects whatever the length of `order`.
     """
-    prev = 0
-    for p, gap in steps:
+    m = len(buckets)
+    prev = gap = 0
+    for p in order:
+        if p > m:
+            gap += 1
+            continue
         if gap:
             i = bisect_right(rest, prev) + gap - 1
             if i >= len(rest):
                 return False
             prev = rest[i]
+            gap = 0
         vals = buckets[p - 1]
         i = bisect_right(vals, prev)
         if i == len(vals):
             return False
         prev = vals[i]
-    return bisect_right(rest, prev) + tail <= len(rest)
+    return not gap or bisect_right(rest, prev) + gap <= len(rest)

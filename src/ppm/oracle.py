@@ -77,16 +77,16 @@ def _bkm_segments(
 ) -> tuple[tuple[int, int], ...] | None:
     """Point/gap segments for one even-position assignment; None if a gap is empty."""
     segs = []
-    for p in range(1, k + 1):
-        if p % 2 == 0:
-            a = anchors[p // 2 - 1]
-            segs.append((a, a))
-        else:
-            lo = 1 if p == 1 else anchors[(p - 1) // 2 - 1] + 1
-            hi = n if p == k else anchors[(p + 1) // 2 - 1] - 1
-            if lo > hi:
-                return None
-            segs.append((lo, hi))
+    lo = 1
+    for a in anchors:
+        if lo >= a:
+            return None
+        segs += ((lo, a - 1), (a, a))
+        lo = a + 1
+    if k % 2:
+        if lo > n:
+            return None
+        segs.append((lo, n))
     return tuple(segs)
 
 

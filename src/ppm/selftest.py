@@ -223,13 +223,9 @@ def _suite_dp_enumeration(max_n: int) -> str:
         if got != want or chain_holds != (want > 0):
             return f"count_respecting={got} chain={chain_holds} but enumeration says {want} on {where}"
         # Detection's prefix check: it keeps every prefix of a member with a nonzero count.
-        placed: list[int] = []
-        steps: list[tuple[int, int]] = []
         for j, (a, _) in enumerate(d.segments[1::2]):
-            dp._place(steps, placed, inst.pattern.values[2 * j], pinv)
-            dp._place(steps, placed, inst.pattern.values[2 * j + 1], pinv)
             rest = sorted(inst.sigma.values[a:])
-            if want and not dp._fits(buckets, steps, inst.k - placed[-1], rest):
+            if want and not dp._has_chain(buckets[:2 * j + 2], pinv, rest):
                 return f"prefix check fails at anchor {a} but enumeration says {want} on {where}"
     return ""
 

@@ -24,11 +24,12 @@ It searches the same family in the same order, depth first over the
 anchors, and prunes it by anchor prefix: the first 2j segments of a
 member depend only on its first j anchors, and an occurrence confined to
 the member places pattern positions 1..2j inside those segments and every
-later position right of the j-th anchor. ``dp._fits`` decides whether the
-whole pattern can be placed that way, one bisect per prefix position. The
-sorted segment values of a prefix are computed once and shared by every
-member below it. When a prefix fails, no member sharing it holds an
-occurrence, so the search skips all of them and the answer stays exact.
+later position right of the j-th anchor. ``dp._has_chain`` decides
+whether the whole pattern can be placed that way, one bisect per prefix
+position. The sorted segment values of a prefix are computed once and
+shared by every member below it. When a prefix fails, no member sharing
+it holds an occurrence, so the search skips all of them and the answer
+stays exact.
 Pruning depends on the instance; where no prefix fails the search still
 reaches all binom(n//2, k//2) members, so the worst case is unchanged.
 """
@@ -74,22 +75,25 @@ def decomposition_of_guess(anchors: Sequence[int], n: int, k: int) -> SegmentDec
         raise LengthMismatch(f"expected {k // 2} anchors for k={k}, got {len(anchors)}")
     if prev > n:
         raise OutOfRange(f"anchor {prev} beyond text length {n}")
-    b = _boundaries(anchors, n, k)
-    return SegmentDecomposition(tuple(zip(b, b[1:])), n)
+    return SegmentDecomposition(_segments(anchors, n, k), n)
 
 
-def _boundaries(anchors: Sequence[int], n: int, k: int) -> list[int]:
-    """Segment boundaries of the family member with these anchors.
+def _segments(anchors: Sequence[int], n: int, k: int) -> tuple[tuple[int, int], ...]:
+    """Segments of the family member with these anchors, unchecked.
 
-    The list is [1, a1, min(a1+1, n), a2, min(a2+1, n), ...], followed by n
-    when k is odd; segment i runs from boundary i to boundary i + 1.
+    Each anchor a closes the stretch from the previous window's right end
+    (1 at first) with segment (lo, a) and adds its window (a, min(a + 1, n));
+    for odd k the last segment runs from the last window's right end to n.
     """
-    b = [1]
-    for anchor in anchors:
-        b += (anchor, anchor + 1 if anchor < n else n)
+    segs = []
+    lo = 1
+    for a in anchors:
+        hi = a + 1 if a < n else n
+        segs += ((lo, a), (a, hi))
+        lo = hi
     if k % 2:
-        b.append(n)
-    return b
+        segs.append((lo, n))
+    return tuple(segs)
 
 
 def enumerate_guesses(n: int, k: int) -> Iterator[tuple[int, ...]]:
@@ -135,8 +139,7 @@ def count_ppm(instance: PpmInstance, threads: int = 1) -> int:
     n, k = instance.n, instance.k
     total = 0
     for anchors in enumerate_guesses(n, k):
-        b = _boundaries(anchors, n, k)
-        total += dp.count_respecting(instance, SegmentDecomposition(tuple(zip(b, b[1:])), n))
+        total += dp.count_respecting(instance, SegmentDecomposition(_segments(anchors, n, k), n))
     return total
 
 
@@ -148,36 +151,33 @@ def detect_ppm(instance: PpmInstance) -> bool:
     order of :func:`enumerate_guesses`, and returns True at the first
     member that holds an occurrence. Placing anchor j at a fixes the two
     segments of pattern positions 2j + 1 and 2j + 2, whose sorted values
-    are pushed on a stack shared by every member below that prefix. For
-    j < k//2 - 1, the prefix is kept only if the whole pattern chains with
-    positions 1..2j + 2 inside their segments and every later position
-    right of a (``dp._fits``). An occurrence confined to a member below the
-    prefix is such a chain, so a prefix that fails rules out every member
-    sharing it and the answer stays exact. Placing the last anchor
-    completes a member, its leaf; every leaf but member 1, already
-    decided, gets one ``dp._has_chain`` over the whole pattern order.
-    Checks cost one bisect per placed position, so a prefix check at depth
-    j is O(j) whatever k is. The steps of depth j are built once from
-    those of depth j - 1, and the sorted text after a once per a, and only
-    when a prefix check first needs them. Detection never runs the
-    counting DP and never rebuilds a decomposition. The search keeps its
-    own stacks rather than recursing, since k//2 may exceed Python's
-    recursion limit. Where no prefix fails it still reaches all
-    binom(n//2, k//2) leaves.
+    are pushed on a stack shared by every member below that prefix. Every
+    check is one ``dp._has_chain`` over the whole pattern order, with
+    positions 1..2j + 2 in their segments and every later position
+    drawing from the sorted text after a. Below the last anchor this is a
+    prefix check: an occurrence confined to a member below the prefix is
+    such a chain, so a prefix that fails rules out every member sharing
+    it and the answer stays exact. At the last anchor it decides a leaf,
+    a whole member; for odd k the text after a is its last segment, or
+    empty when a = n, where no occurrence fits. Member 1's leaf, already
+    decided, is skipped. A check costs one bisect per placed position,
+    whatever k is. The sorted text after a is built once per a and kept
+    for later depths; depth 0 meets each a once and keeps nothing, and an
+    even-k leaf reads none. Detection never runs the counting DP or builds
+    a decomposition, and keeps its own stack rather than recursing, since
+    k//2 may exceed Python's recursion limit. Where no prefix fails it
+    still reaches all binom(n//2, k//2) leaves.
     """
     n, k = instance.n, instance.k
     r = k // 2
     sv = instance.sigma.values
     pinv = instance.pattern.inverse_values
-    b = _boundaries(range(2, 2 * r + 1, 2), n, k)
-    if dp._has_chain([sorted(sv[lo - 1:hi]) for lo, hi in zip(b, b[1:])], pinv):
+    member1 = _segments(range(2, 2 * r + 1, 2), n, k)
+    if dp._has_chain([sorted(sv[lo - 1:hi]) for lo, hi in member1], pinv):
         return True
-    if r == 0 or r == n // 2:  # member 1 is the whole family
+    if r == n // 2:  # member 1 is the whole family
         return False
     last = 2 * (n // 2 - r)  # anchor j (0-based) runs up to last + 2 * (j + 1)
-    pv = instance.pattern.values
-    placed: list[int] = []  # pattern values at positions 1..2j + 2, sorted
-    steps: list[tuple[list[tuple[int, int]], int]] = []  # steps[j]: dp._fits's steps and tail
     rests: dict[int, list[int]] = {}  # rests[a]: sorted text values after position a
     anchors = [0]  # the kept prefix a1..aj, then anchor j being stepped
     buckets: list[list[int]] = []  # sorted values on the segments a1..aj fix
@@ -187,24 +187,18 @@ def detect_ppm(instance: PpmInstance) -> bool:
         if a > last + 2 * (j + 1):
             anchors.pop()
             continue
+        if j == r - 1 and a == 2 * r:  # member 1's leaf
+            continue
         del buckets[2 * j:]
         lo = anchors[j - 1] + 1 if j else 1
-        hi = min(a + 1, n)
-        buckets += (sorted(sv[lo - 1:a]), sorted(sv[a - 1:hi]))
-        if j < r - 1:
-            if j == len(steps):
-                pairs = steps[-1][0][:] if j else []
-                dp._place(pairs, placed, pv[2 * j], pinv)
-                dp._place(pairs, placed, pv[2 * j + 1], pinv)
-                steps.append((pairs, k - placed[-1]))
-            rest = rests.get(a)
-            if rest is None:
-                rest = rests[a] = sorted(sv[a:])
-            if dp._fits(buckets, *steps[j], rest):
-                anchors.append(a)
-        elif a != 2 * r:
-            if k % 2:
-                buckets.append(sorted(sv[hi - 1:n]))
-            if dp._has_chain(buckets, pinv):
+        buckets += (sorted(sv[lo - 1:a]), sorted(sv[a - 1:min(a + 1, n)]))
+        rest = rests.get(a, ())
+        if not rest and 2 * j + 2 < k:  # an even-k leaf reads no rest
+            rest = sorted(sv[a:])
+            if j:  # depth 0 never meets an anchor again
+                rests[a] = rest
+        if dp._has_chain(buckets, pinv, rest):
+            if j == r - 1:
                 return True
+            anchors.append(a)
     return False

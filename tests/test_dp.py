@@ -12,9 +12,10 @@ Claims checked here:
     - the greedy chain says whether the DP count is nonzero, on every
       family member and every prefix order, and it needs strictly
       increasing values where neighbouring buckets share one
-    - detection's prefix check (_fits, on _place's steps) holds on every
-      anchor prefix that some nonzero member shares, and only where the
-      prefix positions chain alone; it drops many prefixes that chain
+    - detection's prefix check (the chain with later positions drawing
+      from the text after the prefix) holds on every anchor prefix that
+      some nonzero member shares, and only where the prefix positions
+      chain alone; it drops many prefixes that chain
     - malformed decompositions are rejected with the documented errors
 """
 
@@ -35,9 +36,7 @@ from ppm.core import (
 from ppm.dp import (
     DpStats,
     _count_levels,
-    _fits,
     _has_chain,
-    _place,
     _segment_value_buckets,
     count_respecting,
 )
@@ -258,44 +257,42 @@ def test_has_chain_agrees_with_count_on_family_prefixes():
     assert nonzero > 1000 and checked - nonzero > 1000
 
 
-def _placed_steps(values, pinv):
-    """The sorted values, steps and tail of _fits for pattern values placed in this order."""
-    placed, steps = [], []
-    for v in values:
-        _place(steps, placed, v, pinv)
-    return placed, steps, len(pinv) - placed[-1]
-
-
-def test_place_builds_gaps_and_tail():
-    # Pattern 3 6 1 5 2 4 (inverse 3 5 1 6 4 2): positions 1..4 carry 3, 6, 1, 5.
+def test_has_chain_places_later_positions_in_gaps_and_tail():
+    # Pattern 3 6 1 5 2 4 (inverse 3 5 1 6 4 2). With buckets for positions
+    # 1..4, values 2 and 4 sit at positions 5 and 6 and draw from `rest`:
+    # one gap between 1 and 3, one between 3 and 5, none at the end.
     pinv = (3, 5, 1, 6, 4, 2)
-    placed, steps, tail = _placed_steps((3, 6, 1, 5), pinv)
-    assert placed == [1, 3, 5, 6]
-    assert steps == [(3, 0), (1, 1), (4, 1), (2, 0)]
-    assert tail == 0
-    placed, steps, tail = _placed_steps((3, 6), pinv)
-    assert steps == [(1, 2), (2, 2)] and tail == 0
-    placed, steps, tail = _placed_steps((3,), pinv)
-    assert steps == [(1, 2)] and tail == 3
+    assert _has_chain([[5], [9], [1], [7]], pinv, [3, 6])
+    assert not _has_chain([[5], [9], [1], [7]], pinv, [3, 5])
+    # Positions 1..2 only (values 3, 6): a gap of two below 3, two between
+    # 3 and 6, none at the end; each run takes the smallest values above.
+    assert _has_chain([[5], [9]], pinv, [1, 2, 6, 7])
+    assert not _has_chain([[5], [9]], pinv, [1, 6, 7, 10])
+    assert not _has_chain([[5], [9]], pinv, [1, 2, 6, 10])
+    # Position 1 only (value 3): a gap of two below it, a tail of three above.
+    assert _has_chain([[5]], pinv, [1, 2, 6, 7, 8])
+    assert not _has_chain([[5]], pinv, [1, 2, 6, 7])
+    # With every position in a bucket, `rest` is never read.
+    assert _has_chain([[5], [9], [1], [7], [3], [6]], pinv)
 
 
-def test_fits_is_strict_and_counts_the_later_positions():
-    # Pattern 1 3 2 with position 1 placed: values 2 and 3 are later, the tail.
-    _, steps, tail = _placed_steps((1,), (1, 3, 2))
-    assert steps == [(1, 0)] and tail == 2
-    assert _fits([[2]], steps, tail, [3, 4])
+def test_has_chain_is_strict_and_counts_the_later_positions():
+    # Pattern 1 3 2 with position 1 in a bucket: values 2 and 3 are later, the tail.
+    assert _has_chain([[2]], (1, 3, 2), [3, 4])
     # The tail needs two values above the placed one; the shared 2 is not above it.
-    assert not _fits([[2]], steps, tail, [2, 3])
-    assert not _fits([[2]], steps, tail, [1, 4])
-    # Pattern 2 1 3 with position 1 placed: one later value below it, one above.
-    _, steps, tail = _placed_steps((2,), (2, 1, 3))
-    assert steps == [(1, 1)] and tail == 1
-    assert _fits([[3]], steps, tail, [1, 4])
-    assert not _fits([[3]], steps, tail, [3, 4])
-    assert not _fits([[3]], steps, tail, [1, 2])
+    assert not _has_chain([[2]], (1, 3, 2), [2, 3])
+    assert not _has_chain([[2]], (1, 3, 2), [1, 4])
+    # Pattern 2 1 3 with position 1 in a bucket: one later value below it, one above.
+    assert _has_chain([[3]], (2, 1, 3), [1, 4])
+    assert not _has_chain([[3]], (2, 1, 3), [3, 4])
+    assert not _has_chain([[3]], (2, 1, 3), [1, 2])
+    # An odd-k leaf whose last anchor is n: position k draws from the empty
+    # text after n, so the chain fails however the other positions fit.
+    assert not _has_chain([[1], [2]], (1, 2, 3), [])
+    assert not _has_chain([[1], [2]], (1, 2, 3))
 
 
-def test_fits_is_sound_and_stronger_on_every_prefix():
+def test_prefix_check_is_sound_and_stronger_on_every_prefix():
     # Every member and every prefix depth j < k//2 - 1 detection checks, at
     # 4 <= k <= n <= 8: the check holds whenever some member sharing the
     # prefix has a nonzero count, and only if positions 1..2j + 2 chain alone.
@@ -313,18 +310,17 @@ def test_fits_is_sound_and_stronger_on_every_prefix():
                 else:
                     pattern = Permutation(tuple(rng.sample(range(1, k + 1), k)))
                 inst = PpmInstance(sigma, pattern)
-                sv, pv, pinv = sigma.values, pattern.values, pattern.inverse_values
+                sv, pinv = sigma.values, pattern.inverse_values
                 nonzero = set()
                 for g in members:
                     if count_respecting(inst, solver.decomposition_of_guess(g, n, k)):
                         nonzero.update(g[:j + 1] for j in range(r))
                 for j in range(r - 1):
-                    placed, steps, tail = _placed_steps(pv[:2 * j + 2], pinv)
-                    order = [pinv[v - 1] for v in placed]
+                    order = [p for p in pinv if p <= 2 * j + 2]
                     for prefix in sorted({g[:j + 1] for g in members}):
-                        b = solver._boundaries(prefix, n, k)[:2 * j + 3]
-                        buckets = [sorted(sv[lo - 1:hi]) for lo, hi in zip(b, b[1:])]
-                        fits = _fits(buckets, steps, tail, sorted(sv[prefix[-1]:]))
+                        segs = solver._segments(prefix, n, k)[:2 * j + 2]
+                        buckets = [sorted(sv[lo - 1:hi]) for lo, hi in segs]
+                        fits = _has_chain(buckets, pinv, sorted(sv[prefix[-1]:]))
                         chain = _has_chain(buckets, order)
                         assert fits or prefix not in nonzero, (inst, prefix)
                         assert chain or not fits, (inst, prefix)

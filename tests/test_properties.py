@@ -23,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ppm.core import Permutation, PpmInstance, pattern_of
-from ppm.dp import DpStats, _count_levels, _fits, _has_chain, _place
+from ppm.dp import DpStats, _count_levels, _has_chain
 from ppm.oracle import brute_force_count
 from ppm.solver import count_ppm, detect_ppm
 
@@ -136,7 +136,4 @@ def _fits_directly(pattern, buckets, rest):
 def test_prefix_check_matches_direct_search(case):
     pattern, buckets, rest = case
     pinv = Permutation(tuple(pattern)).inverse_values
-    placed, steps = [], []
-    for v in pattern[:len(buckets)]:
-        _place(steps, placed, v, pinv)
-    assert _fits(buckets, steps, len(pattern) - placed[-1], rest) == _fits_directly(pattern, buckets, rest)
+    assert _has_chain(buckets, pinv, rest) == _fits_directly(pattern, buckets, rest)

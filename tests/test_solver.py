@@ -27,7 +27,9 @@ Claims checked here:
     - detect_ppm says whether count_ppm is positive at k = n/2 +- 2,
       n = 14..22, both parities, where the search keeps deep prefixes
     - count_ppm and detect_ppm keep no stack frame per anchor: both run
-      at k // 2 = 1,200, past CPython's recursion limit
+      at k // 2 = 1,200, past CPython's recursion limit, and detect_ppm's
+      peak traced memory on the deep member-2 case there stays below 16 MiB;
+      with k // 2 <= 2 it keeps no sorted suffix per anchor (n = 3,000)
     - count_ppm hands dp.count_respecting each family member once, in
       family order
     - far past the oracle's default reach, count_ppm and detect_ppm match
@@ -42,6 +44,7 @@ Claims checked here:
 
 import random
 import threading
+import tracemalloc
 from itertools import islice, permutations, product
 from math import comb
 
@@ -328,9 +331,9 @@ def test_detect_decides_one_member_families_with_one_chain(monkeypatch):
     calls = []
     real = dp._has_chain
 
-    def chaining(buckets, order):
+    def chaining(buckets, order, rest=()):
         calls.append(order)
-        return real(buckets, order)
+        return real(buckets, order, rest)
 
     monkeypatch.setattr(dp, "_has_chain", chaining)
     answers = set()
@@ -355,9 +358,41 @@ def test_routes_do_not_recurse_per_anchor():
     assert not detect_ppm(PpmInstance(_identity(2402), _anti_identity(2400)))
     # Member 1 holds no occurrence but member 2 does, so the search first
     # keeps all 1,199 prefixes of member 1's anchors (about 0.35 s).
+    assert detect_ppm(_deep_member_2())
+
+
+def _deep_member_2():
+    """n = 2402, k = 2400: member 1 holds no occurrence but member 2 does."""
     text = Permutation(tuple(range(1, 2401)) + (2402, 2401))
     pattern = Permutation(tuple(range(1, 2399)) + (2400, 2399))
-    assert detect_ppm(PpmInstance(text, pattern))
+    return PpmInstance(text, pattern)
+
+
+def _traced_detect(inst):
+    """detect_ppm's answer and the peak memory tracemalloc sees during the call."""
+    tracemalloc.start()
+    try:
+        found = detect_ppm(inst)
+        return found, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_deep_detect_memory_stays_small():
+    # The search keeps all 1,199 prefixes of member 1's anchors before it
+    # reaches member 2. It holds two sorted segments per depth and the
+    # sorted text after each anchor it has placed, and nothing per check.
+    found, peak = _traced_detect(_deep_member_2())
+    assert found and peak < 16 * 2**20
+
+
+def test_shallow_detect_keeps_no_suffix_per_anchor():
+    # Depth 0 meets each anchor once, and an even-k leaf reads no suffix,
+    # so with k // 2 <= 2 nothing is worth keeping per anchor. Keeping the
+    # sorted text after every anchor would take O(n^2): 17 MiB here.
+    for k in (2, 3, 4, 5):
+        found, peak = _traced_detect(PpmInstance(_anti_identity(3000), _identity(k)))
+        assert not found and peak < 2**20, k
 
 
 def test_detect_matches_count_random():
@@ -419,29 +454,38 @@ def test_detect_invariant_under_symmetries():
 def _detect_visits(monkeypatch, inst):
     """detect_ppm's answer and the leaves it checked, in order.
 
-    A leaf is a member that detect_ppm decides with one greedy chain over
-    the whole pattern order; prefix checks go through dp._fits instead. Each
-    leaf's chain runs on the sorted values of that leaf's segments, which
-    name the family member uniquely, so the chain's buckets are looked up
-    among the family's; a miss fails the test. The counting DP must not run
-    at all.
+    Every check is one dp._has_chain call. A leaf is a call whose buckets
+    cover pattern positions 1..2(k//2); the other calls are prefix checks.
+    The sorted values of those first 2(k//2) segments name the family
+    member uniquely, so a leaf's buckets are looked up among the family's;
+    a miss fails the test. For odd k, position k must draw from the
+    member's last segment: from its own bucket, or from the chain's shared
+    list, which is then the text after the last anchor, empty when that
+    anchor is n. The counting DP must not run at all.
     """
     n, k = inst.n, inst.k
+    r = k // 2
     sv = inst.sigma.values
     family = {}
     for g in enumerate_guesses(n, k):
         d = decomposition_of_guess(g, n, k)
-        family[tuple(tuple(sorted(sv[lo - 1:hi])) for lo, hi in d.segments)] = d
+        values = [tuple(sorted(sv[lo - 1:hi])) for lo, hi in d.segments]
+        family[tuple(values[:2 * r])] = d, values[2 * r:]
     assert len(family) == family_size(n, k)
     leaves = []
     real_chain = dp._has_chain
 
-    def chaining(buckets, order):
-        if len(order) == k:
-            key = tuple(map(tuple, buckets))
-            assert key in family, "a full-order chain ran on no family member's segments"
-            leaves.append(family[key])
-        return real_chain(buckets, order)
+    def chaining(buckets, order, rest=()):
+        if len(buckets) >= 2 * r:
+            key = tuple(map(tuple, buckets[:2 * r]))
+            assert key in family, "a leaf chain ran on no family member's segments"
+            d, last = family[key]
+            if len(buckets) > 2 * r:
+                assert list(map(tuple, buckets[2 * r:])) == last
+            elif k % 2:
+                assert tuple(rest) == (last[0] if d.segments[-2][0] < n else ())
+            leaves.append(d)
+        return real_chain(buckets, order, rest)
 
     def refuse(*args):
         raise AssertionError("detect_ppm ran the counting DP")
@@ -523,32 +567,42 @@ def test_detect_checks_prefixes_before_leaves(monkeypatch):
 
 
 def _prefix_checks(monkeypatch, inst, check):
-    """detect_ppm's answer when `check` stands in for dp._fits, with its checks and kept prefixes."""
-    calls = []
+    """detect_ppm's answer with `check` deciding prefixes, the checks made and the prefixes kept.
 
-    def recording(buckets, steps, tail, rest):
-        kept = check(buckets, steps, tail, rest)
+    Prefix checks are the dp._has_chain calls whose buckets stop short of
+    position 2(k//2); leaves still go to the real chain.
+    """
+    calls = []
+    real_chain = dp._has_chain
+
+    def recording(buckets, order, rest=()):
+        if len(buckets) >= 2 * (inst.k // 2):
+            return real_chain(buckets, order, rest)
+        kept = check(buckets, order, rest)
         calls.append(kept)
         return kept
 
     with monkeypatch.context() as m:
-        m.setattr(dp, "_fits", recording)
+        m.setattr(dp, "_has_chain", recording)
         found = detect_ppm(inst)
     return found, len(calls), sum(calls)
 
 
 def test_detect_prunes_by_the_whole_pattern(monkeypatch):
-    # dp._fits places the later positions too, so it keeps no prefix that the
-    # placed positions alone would drop, and strictly fewer in all.
-    real_fits = dp._fits
+    # The prefix check places the later positions too, so it keeps no prefix
+    # that the placed positions alone would drop, and strictly fewer in all.
+    real_chain = dp._has_chain
 
-    def fits(buckets, steps, tail, rest):
-        kept = real_fits(buckets, steps, tail, rest)
-        assert not kept or dp._has_chain(buckets, [p for p, _ in steps])
+    def placed_alone(buckets, order):
+        return real_chain(buckets, [p for p in order if p <= len(buckets)])
+
+    def fits(buckets, order, rest):
+        kept = real_chain(buckets, order, rest)
+        assert not kept or placed_alone(buckets, order)
         return kept
 
-    def prefix_only(buckets, steps, tail, rest):
-        return dp._has_chain(buckets, [p for p, _ in steps])
+    def prefix_only(buckets, order, rest):
+        return placed_alone(buckets, order)
 
     absent = PpmInstance(random_permutation(28, 28), random_permutation(14, 14))
     found, checks, kept = _prefix_checks(monkeypatch, absent, fits)
