@@ -3,6 +3,11 @@
 Subcommands: count, detect, gen, selftest, bench. Exit codes: 0 success,
 1 self-test failure, 2 usage or input error. Results go to stdout,
 diagnostics to stderr, one line each.
+
+Every flag and its default is declared once, in `build_parser`, which
+binds each subcommand to its `cmd_*` function; the commands read the
+argparse namespace. `_validate_config` makes the range and budget checks
+argparse cannot express, before any work.
 """
 
 from __future__ import annotations
@@ -11,7 +16,6 @@ import argparse
 import statistics
 import sys
 import time
-from dataclasses import dataclass
 
 from . import oracle, selftest, solver
 from .core import (
@@ -48,53 +52,36 @@ WORK_SPAN = 84
 # Most `bench --reps`: enough for a median, and each rep reruns the whole count.
 REPS_MAX = 100
 
-_ALGOS = ("fast", "bkm", "brute")
+# Flags shared by several subcommands, each declared once with its default.
+_ALGO_FLAG = {"choices": ("fast", "bkm", "brute"), "default": "fast"}
+_SEED_FLAG = {"type": int, "default": 0}
 _THREADS_HELP = "accepted for compatibility: must be >= 1, otherwise ignored"
+_THREADS_FLAG = {"type": int, "default": 1, "help": _THREADS_HELP}
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """One invocation, independent of argparse; fields are the flags' destinations and defaults."""
-
-    algo: str = "fast"
-    sigma: str | None = None
-    sigma_file: str | None = None
-    pattern: str | None = None
-    pattern_file: str | None = None
-    seed: int = 0
-    threads: int = 1
-    n: int | None = None
-    max_n: int = 6
-    reps: int = 5
-    pairs: tuple[tuple[int, int], ...] = ()
-
-
-def cmd_count(cfg: RunConfig) -> int:
-    instance = _load_instance(cfg)
-    print(_count_with(cfg.algo, instance, cfg.threads))
+def cmd_count(args: argparse.Namespace) -> int:
+    print(_count_with(args.algo, _load_instance(args)))
     return EXIT_OK
 
 
-def cmd_detect(cfg: RunConfig) -> int:
-    instance = _load_instance(cfg)
-    if cfg.algo == "fast":
+def cmd_detect(args: argparse.Namespace) -> int:
+    instance = _load_instance(args)
+    if args.algo == "fast":
         found = solver.detect_ppm(instance)
     else:
-        found = _count_with(cfg.algo, instance, cfg.threads) > 0
+        found = _count_with(args.algo, instance) > 0
     print("true" if found else "false")
     return EXIT_OK
 
 
-def cmd_gen(cfg: RunConfig) -> int:
-    if cfg.n is None:
-        raise PpmError("gen requires --n")
-    print(format_permutation(random_permutation(cfg.n, cfg.seed)))
+def cmd_gen(args: argparse.Namespace) -> int:
+    print(format_permutation(random_permutation(args.n, args.seed)))
     return EXIT_OK
 
 
-def cmd_selftest(cfg: RunConfig) -> int:
+def cmd_selftest(args: argparse.Namespace) -> int:
     failed = False
-    for name, ok, detail in selftest.run_suites(cfg.max_n):
+    for name, ok, detail in selftest.run_suites(args.max_n):
         print(f"{name}: {'pass' if ok else 'fail'}")
         if not ok:
             failed = True
@@ -102,35 +89,31 @@ def cmd_selftest(cfg: RunConfig) -> int:
     return EXIT_SELFTEST_FAILED if failed else EXIT_OK
 
 
-def cmd_bench(cfg: RunConfig) -> int:
-    if not cfg.pairs:
-        raise PpmError("bench requires --pairs n:k,...")
+def cmd_bench(args: argparse.Namespace) -> int:
     print("algo,n,k,decompositions,count,nanos_median")
-    seeds = SplitMix64(cfg.seed)
-    for n, k in cfg.pairs:
+    seeds = SplitMix64(args.seed)
+    for n, k in args.pairs:
         instance = PpmInstance(
             random_permutation(n, seeds.next_u64()),
             random_permutation(k, seeds.next_u64()),
         )
         timings = []
         count = 0
-        for _rep in range(cfg.reps):
+        for _rep in range(args.reps):
             start = time.perf_counter_ns()
-            count = _count_with(cfg.algo, instance, cfg.threads)
+            count = _count_with(args.algo, instance)
             timings.append(time.perf_counter_ns() - start)
-        decompositions = _decomposition_bound(cfg.algo, n, k)
-        print(f"{cfg.algo},{n},{k},{decompositions},{count},{int(statistics.median(timings))}")
+        decompositions = _decomposition_bound(args.algo, n, k)
+        print(f"{args.algo},{n},{k},{decompositions},{count},{int(statistics.median(timings))}")
     return EXIT_OK
 
 
-def _count_with(algorithm: str, instance: PpmInstance, threads: int) -> int:
+def _count_with(algorithm: str, instance: PpmInstance) -> int:
     if algorithm == "fast":
-        return solver.count_ppm(instance, threads=threads)
+        return solver.count_ppm(instance)
     if algorithm == "bkm":
         return oracle.bkm_count(instance)
-    if algorithm == "brute":
-        return oracle.brute_force_count(instance)
-    raise PpmError(f"unknown algorithm {algorithm!r}")
+    return oracle.brute_force_count(instance)
 
 
 def _decomposition_bound(algorithm: str, n: int, k: int) -> int:
@@ -162,20 +145,19 @@ def _check_family(algorithm: str, n: int, k: int) -> None:
         )
 
 
-def _load_instance(cfg: RunConfig) -> PpmInstance:
+def _load_instance(args: argparse.Namespace) -> PpmInstance:
     instance = PpmInstance(
-        _load_permutation(cfg.sigma, cfg.sigma_file, line=1, role="--sigma"),
-        _load_permutation(cfg.pattern, cfg.pattern_file, line=2, role="--pattern"),
+        _load_permutation(args.sigma, args.sigma_file, line=1),
+        _load_permutation(args.pattern, args.pattern_file, line=2),
     )
-    _check_family(cfg.algo, instance.n, instance.k)
+    _check_family(args.algo, instance.n, instance.k)
     return instance
 
 
-def _load_permutation(text: str | None, path: str | None, line: int, role: str) -> Permutation:
+def _load_permutation(text: str | None, path: str | None, line: int) -> Permutation:
+    # argparse requires exactly one of the inline text and the file path.
     if text is not None:
         return parse_permutation(text)
-    if path is None:
-        raise EmptyInput(f"missing {role} (inline text or {role}-file)")
     with open(path, "rb") as fh:
         data = fh.read(FILE_MAX_BYTES + 1)
     if len(data) > FILE_MAX_BYTES:
@@ -214,85 +196,75 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_instance_flags(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--algo", choices=_ALGOS)
+        p.add_argument("--algo", **_ALGO_FLAG)
         g1 = p.add_mutually_exclusive_group(required=True)
         g1.add_argument("--sigma", help="text permutation, one-line notation")
         g1.add_argument("--sigma-file", help="file with sigma on its first line")
         g2 = p.add_mutually_exclusive_group(required=True)
         g2.add_argument("--pattern", help="pattern permutation, one-line notation")
         g2.add_argument("--pattern-file", help="file with the pattern on its second line (or only line)")
-        p.add_argument("--threads", type=int, help=_THREADS_HELP)
+        p.add_argument("--threads", **_THREADS_FLAG)
 
     p_count = sub.add_parser("count", help="print the exact number of occurrences")
     add_instance_flags(p_count)
+    p_count.set_defaults(run=cmd_count)
 
     p_detect = sub.add_parser("detect", help="print true/false for containment")
     add_instance_flags(p_detect)
+    p_detect.set_defaults(run=cmd_detect)
 
     p_gen = sub.add_parser("gen", help="print a seeded uniformly random permutation")
     p_gen.add_argument("--n", type=int, required=True)
-    p_gen.add_argument("--seed", type=int)
+    p_gen.add_argument("--seed", **_SEED_FLAG)
+    p_gen.set_defaults(run=cmd_gen)
 
     p_self = sub.add_parser("selftest", help="run the built-in invariant suites")
-    p_self.add_argument("--max-n", type=int)
+    p_self.add_argument("--max-n", type=int, default=6)
+    p_self.set_defaults(run=cmd_selftest)
 
     p_bench = sub.add_parser("bench", help="time counting runs, CSV to stdout")
     p_bench.add_argument("--pairs", required=True, help="comma list of n:k")
-    p_bench.add_argument("--algo", choices=_ALGOS)
-    p_bench.add_argument("--seed", type=int)
-    p_bench.add_argument("--reps", type=int)
-    p_bench.add_argument("--threads", type=int, help=_THREADS_HELP)
+    p_bench.add_argument("--algo", **_ALGO_FLAG)
+    p_bench.add_argument("--seed", **_SEED_FLAG)
+    p_bench.add_argument("--reps", type=int, default=5)
+    p_bench.add_argument("--threads", **_THREADS_FLAG)
+    p_bench.set_defaults(run=cmd_bench)
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    # A flag left out parses to None and keeps its RunConfig default.
-    given = {name: value for name, value in vars(args).items() if value is not None}
-    del given["command"]
-    given["pairs"] = _parse_pairs(given["pairs"]) if given.get("pairs") else ()
-    return RunConfig(**given)
-
-
-_COMMANDS = {
-    "count": cmd_count,
-    "detect": cmd_detect,
-    "gen": cmd_gen,
-    "selftest": cmd_selftest,
-    "bench": cmd_bench,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        cfg = _config_from_args(args)
-        _validate_config(cfg)
-        return _COMMANDS[args.command](cfg)
-    except PpmError as exc:
-        print(f"ppm: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
+        _validate_config(args)
+        return args.run(args)
+    except (PpmError, OSError) as exc:
         print(f"ppm: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 
-def _validate_config(cfg: RunConfig) -> None:
-    if cfg.threads < 1:
-        raise PpmError(f"--threads must be >= 1, got {cfg.threads}")
-    if cfg.seed < 0 or cfg.seed >= 1 << 64:
-        raise PpmError(f"--seed must be an unsigned 64-bit integer, got {cfg.seed}")
-    if cfg.n is not None and not 1 <= cfg.n <= GEN_MAX_N:
-        raise PpmError(f"--n must be in [1, {GEN_MAX_N}], got {cfg.n}")
-    if not 1 <= cfg.max_n <= selftest.MAX_N:
-        raise PpmError(f"--max-n must be in [1, {selftest.MAX_N}], got {cfg.max_n}")
-    if not 1 <= cfg.reps <= REPS_MAX:
-        raise PpmError(f"--reps must be in [1, {REPS_MAX}], got {cfg.reps}")
-    for n, k in cfg.pairs:
+def _validate_config(args: argparse.Namespace) -> None:
+    """Range checks argparse cannot express, on the flags the subcommand has.
+
+    Replaces the --pairs text with its (n, k) tuples. Pair syntax is
+    checked first, then threads, seed, n, max-n and reps, then each pair's
+    range and budgets, so an invocation with several faults always
+    reports the same one, and every pair is checked before bench prints.
+    """
+    if "pairs" in args:
+        args.pairs = _parse_pairs(args.pairs)
+    if "threads" in args and args.threads < 1:
+        raise PpmError(f"--threads must be >= 1, got {args.threads}")
+    if "seed" in args and not 0 <= args.seed < 1 << 64:
+        raise PpmError(f"--seed must be an unsigned 64-bit integer, got {args.seed}")
+    if "n" in args and not 1 <= args.n <= GEN_MAX_N:
+        raise PpmError(f"--n must be in [1, {GEN_MAX_N}], got {args.n}")
+    if "max_n" in args and not 1 <= args.max_n <= selftest.MAX_N:
+        raise PpmError(f"--max-n must be in [1, {selftest.MAX_N}], got {args.max_n}")
+    if "reps" in args and not 1 <= args.reps <= REPS_MAX:
+        raise PpmError(f"--reps must be in [1, {REPS_MAX}], got {args.reps}")
+    for n, k in getattr(args, "pairs", ()):
         if not 1 <= k <= n:
             raise PpmError(f"bad pair n={n} k={k}, need 1 <= k <= n")
-        _check_family(cfg.algo, n, k)
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+        if args.algo == "brute":
+            oracle._check_cap(n, oracle.DEFAULT_MAX_N)
+        _check_family(args.algo, n, k)

@@ -30,7 +30,7 @@ def brute_force_enumerate(instance: PpmInstance, max_n: int = DEFAULT_MAX_N) -> 
     Depth-first over text positions, extending a partial placement only
     while its values keep the pattern's relative order.
     """
-    _check_cap(instance, max_n)
+    _check_cap(instance.n, max_n)
     out: list[Embedding] = []
     _search(instance, lambda positions: out.append(Embedding(tuple(positions))))
     return out
@@ -38,7 +38,7 @@ def brute_force_enumerate(instance: PpmInstance, max_n: int = DEFAULT_MAX_N) -> 
 
 def brute_force_count(instance: PpmInstance, max_n: int = DEFAULT_MAX_N) -> int:
     """Number of occurrences, without materializing them."""
-    _check_cap(instance, max_n)
+    _check_cap(instance.n, max_n)
     hits = [0]
 
     def bump(_positions: list[int]) -> None:
@@ -90,11 +90,9 @@ def _bkm_segments(
     return tuple(segs)
 
 
-def _check_cap(instance: PpmInstance, max_n: int) -> None:
-    if instance.n > max_n:
-        raise InstanceTooLarge(
-            f"exhaustive search capped at n={max_n}, instance has n={instance.n}"
-        )
+def _check_cap(n: int, max_n: int) -> None:
+    if n > max_n:
+        raise InstanceTooLarge(f"exhaustive search capped at n={max_n}, instance has n={n}")
 
 
 def _search(instance: PpmInstance, visit) -> None:

@@ -24,6 +24,11 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def validate(*argv):
+    # The range and budget checks alone, for invocations too slow to run.
+    cli._validate_config(cli.build_parser().parse_args(list(argv)))
+
+
 # -- count ---------------------------------------------------------------------
 
 
@@ -53,6 +58,9 @@ def test_count_brute_cap_exceeded(capsys):
     sigma = " ".join(map(str, range(1, 26)))
     code, _, err = run_cli(capsys, "count", "--algo", "brute", "--sigma", sigma, "--pattern", "1")
     assert code == 2 and "capped" in err
+    # bench checks the cap for every pair before its header, so no pair runs.
+    code, out, err = run_cli(capsys, "bench", "--algo", "brute", "--pairs", "8:4,30:3", "--reps", "1")
+    assert (code, out, err) == (2, "", "ppm: exhaustive search capped at n=24, instance has n=30\n")
 
 
 def test_count_output_parses_back_at_any_magnitude(capsys):
@@ -109,7 +117,7 @@ def test_gen_rejects_n_above_cap(capsys):
     code, out, err = run_cli(capsys, "gen", "--n", str(cli.GEN_MAX_N + 1), "--seed", "1")
     assert (code, out) == (2, "") and err.startswith("ppm: --n must be in [1, ")
     # The cap itself is checked through the validator; a real run there takes seconds.
-    cli._validate_config(cli.RunConfig(n=cli.GEN_MAX_N))
+    validate("gen", "--n", str(cli.GEN_MAX_N))
 
 
 def test_gen_rejects_bad_seed(capsys):
@@ -143,6 +151,10 @@ def test_missing_file_is_usage_error(tmp_path, capsys):
         capsys, "count", "--sigma-file", str(tmp_path / "nope"), "--pattern", "1"
     )
     assert code == 2 and err.startswith("ppm:")
+    blank = tmp_path / "blank.txt"
+    blank.write_text("\n  \n\t\n")
+    code, out, err = run_cli(capsys, "count", "--sigma-file", str(blank), "--pattern", "1")
+    assert (code, out, err) == (2, "", f"ppm: {blank}: no data lines\n")
 
 
 def test_non_utf8_file_is_usage_error(tmp_path, capsys):
@@ -250,7 +262,7 @@ def test_selftest_rejects_max_n_out_of_range(capsys):
         assert (code, out) == (2, ""), bad
         assert err.startswith("ppm: --max-n must be in [1, ")
     # The upper edge is checked through the validator; a real run there takes minutes.
-    cli._validate_config(cli.RunConfig(max_n=selftest.MAX_N))
+    validate("selftest", "--max-n", str(selftest.MAX_N))
 
 
 def test_selftest_catches_broken_merge_cursor(capsys, monkeypatch):
@@ -295,6 +307,24 @@ def test_selftest_catches_detect_mutant(capsys, monkeypatch):
     assert "detect=False" in err
 
 
+# -- defaults -----------------------------------------------------------------------------
+
+
+def test_defaults_match_explicit_flags(capsys):
+    assert run_cli(capsys, "gen", "--n", "5") == run_cli(capsys, "gen", "--n", "5", "--seed", "0")
+    implicit = run_cli(capsys, "bench", "--pairs", "6:3")
+    explicit = run_cli(capsys, "bench", "--pairs", "6:3", "--algo", "fast", "--seed", "0", "--reps", "5")
+    assert implicit[0] == explicit[0] == 0
+    assert [row.split(",")[:5] for row in implicit[1].splitlines()] == [
+        row.split(",")[:5] for row in explicit[1].splitlines()
+    ]
+    parser = cli.build_parser()
+    assert parser.parse_args(["selftest"]).max_n == 6
+    for cmd in ("count", "detect"):
+        args = parser.parse_args([cmd, "--sigma", "1", "--pattern", "1"])
+        assert (args.algo, args.threads) == ("fast", 1)
+
+
 # -- bench ------------------------------------------------------------------------------
 
 
@@ -325,6 +355,16 @@ def test_bench_bkm_bound_column(capsys):
 def test_bench_rejects_bad_pairs(capsys):
     assert run_cli(capsys, "bench", "--pairs", "3:9")[0] == 2
     assert run_cli(capsys, "bench", "--pairs", "zap")[0] == 2
+    assert run_cli(capsys, "bench", "--pairs", "")[1:] == ("", "ppm: bad pair '', expected n:k\n")
+    # Of several faults, pair syntax is reported first, then reps, then pair ranges.
+    assert run_cli(capsys, "bench", "--pairs", "zap", "--reps", "0")[1:] == (
+        "",
+        "ppm: bad pair 'zap', expected n:k\n",
+    )
+    assert run_cli(capsys, "bench", "--pairs", "3:9", "--reps", "0")[1:] == (
+        "",
+        f"ppm: --reps must be in [1, {cli.REPS_MAX}], got 0\n",
+    )
 
 
 def test_bench_refuses_unbounded_reps(capsys, monkeypatch):
@@ -337,7 +377,7 @@ def test_bench_refuses_unbounded_reps(capsys, monkeypatch):
     assert (code, out) == (2, "")
     assert err == f"ppm: --reps must be in [1, {cli.REPS_MAX}], got 1000000000000\n"
     assert run_cli(capsys, "bench", "--pairs", "8:4", "--reps", str(cli.REPS_MAX + 1))[:2] == (2, "")
-    cli._validate_config(cli.RunConfig(pairs=((8, 4),), reps=cli.REPS_MAX))
+    validate("bench", "--pairs", "8:4", "--reps", str(cli.REPS_MAX))
 
 
 def test_bench_times_grow_with_n(capsys):
@@ -373,9 +413,9 @@ def test_family_budget_boundary(capsys, monkeypatch):
     # The largest admitted k = n/2 pair and the next one, through the validator:
     # a real run at the budget takes about an hour.
     assert comb(28, 14) <= cli.FAMILY_MAX < comb(29, 14)
-    cli._validate_config(cli.RunConfig(pairs=((56, 28),)))
+    validate("bench", "--pairs", "56:28")
     with pytest.raises(ppm.PpmError):
-        cli._validate_config(cli.RunConfig(pairs=((58, 29),)))
+        validate("bench", "--pairs", "58:29")
     # A family exactly at the budget runs; one member more is refused.
     instance = ("--sigma", "3 2 5 4 1", "--pattern", "1 3 2")
     for algo, size in (("fast", comb(2, 1)), ("bkm", comb(5, 1)), ("brute", 0)):
@@ -397,10 +437,10 @@ def test_work_budget_refuses_long_text_tiny_pattern(capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "random_permutation", no_draw)
     with pytest.raises(ppm.PpmError):
-        cli._validate_config(cli.RunConfig(pairs=((10**6, 2),)))
+        validate("bench", "--pairs", "1000000:2")
     # The largest run the family budget admits is within the work budget too.
     assert comb(28, 14) * (56 + 28) <= cli.FAMILY_MAX * cli.WORK_SPAN
-    cli._validate_config(cli.RunConfig(pairs=((56, 28),)))
+    validate("bench", "--pairs", "56:28")
     code, out, err = run_cli(capsys, "bench", "--pairs", "1000000:2")
     assert (code, out) == (2, "")
     assert err == (

@@ -195,6 +195,8 @@ def test_canonical_worked_examples():
     assert got.segments == ((1, 2), (2, 3), (3, 6), (6, 7), (7, 9))
     assert canonical_decomposition(Embedding((1, 2)), 2).segments == ((1, 2), (2, 2))
     assert canonical_decomposition(Embedding((1,)), 5).segments == ((1, 5),)
+    with pytest.raises(OutOfRange):
+        canonical_decomposition(Embedding((1, 2, 9)), 8)
 
 
 def test_canonical_is_respected_and_unique():
