@@ -1,9 +1,12 @@
 """Exact permutation pattern matching: counting and detection.
 
-The main entry points are :func:`count_ppm` and :func:`detect_ppm`, which
-run in O(n log n * 2^(n/2)) time and O(n) space. `brute_force_count` and
-`bkm_count` provide two independent slower routes to the same numbers for
-cross-validation and benchmarking.
+The main entry points are :func:`count_ppm` and :func:`detect_ppm`. Counting
+runs in O(n log n * 2^(n/2)) time. Detection may check each of a family
+member's k//2 anchor prefixes at O(n log n) each, so it runs in
+O(k n log n * 2^(n/2)) time in the worst case; both are O*(1.415^n) and
+use O(n) space. `brute_force_count` and `bkm_count` provide two
+independent slower routes to the same numbers for cross-validation and
+benchmarking.
 """
 
 from .core import (

@@ -165,7 +165,9 @@ def _has_chain(
     later position this says whether ``_count_levels(buckets, order, None)``
     is nonzero. A run of g later positions takes the g smallest values of
     `rest` above the previous one with one bisect, so a check makes
-    O(len(buckets)) bisects whatever the length of `order`.
+    O(len(buckets)) bisects. The gap counter saves bisects, not steps: the
+    loop still runs once per position of `order`, so a check costs
+    O(len(order)) interpreted steps whatever the number of buckets.
     """
     m = len(buckets)
     prev = gap = 0

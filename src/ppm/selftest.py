@@ -92,8 +92,7 @@ def lowerbound_family(n: int, k: int) -> set[SegmentDecomposition]:
     force distinct members, so the result has binom((n-1)//2, k//2)
     elements. Capped at n = LOWERBOUND_CAP, since it is materialized.
     """
-    if not 1 <= k <= n:
-        raise InstanceTooSmall(f"need 1 <= k <= n, got k={k}, n={n}")
+    solver._check_sizes(n, k)
     half_k = k // 2
     half_n = (n - 1) // 2
     if half_k > half_n:

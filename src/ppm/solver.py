@@ -31,7 +31,9 @@ shared by every member below it. When a prefix fails, no member sharing
 it holds an occurrence, so the search skips all of them and the answer
 stays exact.
 Pruning depends on the instance; where no prefix fails the search still
-reaches all binom(n//2, k//2) members, so the worst case is unchanged.
+reaches all binom(n//2, k//2) members and checks up to k//2 prefixes on
+the way to each, at O(n log n) a check, so detection's worst case is
+O(k n log n * 2^(n/2)) time, still with O(n) memory.
 """
 
 from __future__ import annotations
@@ -69,13 +71,18 @@ def decomposition_of_guess(anchors: Sequence[int], n: int, k: int) -> SegmentDec
         if a <= prev:
             raise OrderViolation(f"anchors not strictly increasing: {prev} then {a}")
         prev = a
-    if not 1 <= k <= n:
-        raise InstanceTooSmall(f"need 1 <= k <= n, got k={k}, n={n}")
+    _check_sizes(n, k)
     if len(anchors) != k // 2:
         raise LengthMismatch(f"expected {k // 2} anchors for k={k}, got {len(anchors)}")
     if prev > n:
         raise OutOfRange(f"anchor {prev} beyond text length {n}")
     return SegmentDecomposition(_segments(anchors, n, k), n)
+
+
+def _check_sizes(n: int, k: int) -> None:
+    """Raise InstanceTooSmall unless 1 <= k <= n."""
+    if not 1 <= k <= n:
+        raise InstanceTooSmall(f"need 1 <= k <= n, got k={k}, n={n}")
 
 
 def _segments(anchors: Sequence[int], n: int, k: int) -> tuple[tuple[int, int], ...]:
@@ -101,15 +108,13 @@ def enumerate_guesses(n: int, k: int) -> Iterator[tuple[int, ...]]:
 
     Exactly binom(n//2, k//2) tuples, generated with O(n) working memory.
     """
-    if not 1 <= k <= n:
-        raise InstanceTooSmall(f"need 1 <= k <= n, got k={k}, n={n}")
+    _check_sizes(n, k)
     return combinations(range(2, 2 * (n // 2) + 1, 2), k // 2)
 
 
 def family_size(n: int, k: int) -> int:
     """Number of anchor choices for an (n, k) instance."""
-    if not 1 <= k <= n:
-        raise InstanceTooSmall(f"need 1 <= k <= n, got k={k}, n={n}")
+    _check_sizes(n, k)
     return math.comb(n // 2, k // 2)
 
 
@@ -160,13 +165,15 @@ def detect_ppm(instance: PpmInstance) -> bool:
     it and the answer stays exact. At the last anchor it decides a leaf,
     a whole member; for odd k the text after a is its last segment, or
     empty when a = n, where no occurrence fits. Member 1's leaf, already
-    decided, is skipped. A check costs one bisect per placed position,
-    whatever k is. The sorted text after a is built once per a and kept
-    for later depths; depth 0 meets each a once and keeps nothing, and an
-    even-k leaf reads none. Detection never runs the counting DP or builds
-    a decomposition, and keeps its own stack rather than recursing, since
-    k//2 may exceed Python's recursion limit. Where no prefix fails it
-    still reaches all binom(n//2, k//2) leaves.
+    decided, is skipped. A check makes one bisect per placed position but
+    steps through all k positions. The sorted text after the anchor being
+    stepped is one list, which a step shrinks by the two values it passes
+    and a backtrack rebuilds from the parent's anchor, so detection keeps
+    O(n) memory at any depth. Detection never runs the counting DP or
+    builds a decomposition, and keeps its own stack rather than recursing,
+    since k//2 may exceed Python's recursion limit. Where no prefix fails
+    it still reaches all binom(n//2, k//2) leaves, and checks up to k//2
+    prefixes on the way to each.
     """
     n, k = instance.n, instance.k
     r = k // 2
@@ -178,7 +185,7 @@ def detect_ppm(instance: PpmInstance) -> bool:
     if r == n // 2:  # member 1 is the whole family
         return False
     last = 2 * (n // 2 - r)  # anchor j (0-based) runs up to last + 2 * (j + 1)
-    rests: dict[int, list[int]] = {}  # rests[a]: sorted text values after position a
+    rest = sorted(sv)  # sorted text values after the anchor being stepped
     anchors = [0]  # the kept prefix a1..aj, then anchor j being stepped
     buckets: list[list[int]] = []  # sorted values on the segments a1..aj fix
     while anchors:
@@ -186,17 +193,16 @@ def detect_ppm(instance: PpmInstance) -> bool:
         a = anchors[j] = anchors[j] + 2
         if a > last + 2 * (j + 1):
             anchors.pop()
+            if anchors:
+                rest = sorted(sv[anchors[-1]:])
             continue
+        rest.remove(sv[a - 2])
+        rest.remove(sv[a - 1])
         if j == r - 1 and a == 2 * r:  # member 1's leaf
             continue
         del buckets[2 * j:]
         lo = anchors[j - 1] + 1 if j else 1
         buckets += (sorted(sv[lo - 1:a]), sorted(sv[a - 1:min(a + 1, n)]))
-        rest = rests.get(a, ())
-        if not rest and 2 * j + 2 < k:  # an even-k leaf reads no rest
-            rest = sorted(sv[a:])
-            if j:  # depth 0 never meets an anchor again
-                rests[a] = rest
         if dp._has_chain(buckets, pinv, rest):
             if j == r - 1:
                 return True

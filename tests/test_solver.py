@@ -27,9 +27,10 @@ Claims checked here:
     - detect_ppm says whether count_ppm is positive at k = n/2 +- 2,
       n = 14..22, both parities, where the search keeps deep prefixes
     - count_ppm and detect_ppm keep no stack frame per anchor: both run
-      at k // 2 = 1,200, past CPython's recursion limit, and detect_ppm's
-      peak traced memory on the deep member-2 case there stays below 16 MiB;
-      with k // 2 <= 2 it keeps no sorted suffix per anchor (n = 3,000)
+      at k // 2 = 1,200, past CPython's recursion limit, and detect_ppm
+      keeps O(n) memory: one sorted suffix at any depth, below 1 MiB of
+      peak traced memory on the deep member-2 case there and with
+      k // 2 <= 2 at n = 3,000
     - count_ppm hands dp.count_respecting each family member once, in
       family order
     - far past the oracle's default reach, count_ppm and detect_ppm match
@@ -382,16 +383,17 @@ def _traced_detect(inst):
 
 def test_deep_detect_memory_stays_small():
     # The search keeps all 1,199 prefixes of member 1's anchors before it
-    # reaches member 2. It holds two sorted segments per depth and the
-    # sorted text after each anchor it has placed, and nothing per check.
+    # reaches member 2. It holds two sorted segments per depth, which
+    # together cover the text once, and one sorted text suffix. A sorted
+    # suffix kept per placed anchor would take O(n^2): 11.6 MiB here.
     found, peak = _traced_detect(_deep_member_2())
-    assert found and peak < 16 * 2**20
+    assert found and peak < 2**20
 
 
 def test_shallow_detect_keeps_no_suffix_per_anchor():
-    # Depth 0 meets each anchor once, and an even-k leaf reads no suffix,
-    # so with k // 2 <= 2 nothing is worth keeping per anchor. Keeping the
-    # sorted text after every anchor would take O(n^2): 17 MiB here.
+    # Every anchor at depth 0 is checked against the sorted text after it.
+    # The search shrinks one sorted suffix as the anchor moves; sorting
+    # and keeping the text after every anchor would take O(n^2): 17 MiB here.
     for k in (2, 3, 4, 5):
         found, peak = _traced_detect(PpmInstance(_anti_identity(3000), _identity(k)))
         assert not found and peak < 2**20, k
