@@ -1,0 +1,61 @@
+"""The summary of tools/pairs.py, on synthetic benchmark results.
+
+Claims checked here:
+    - per (workload, metric) it gives each side's median and quartiles,
+      the change/base ratio of the medians and the pairs the change won,
+      ties counting for neither side
+    - a metric named better-when-higher wins when it rises
+    - a metric missing from one side of a pair leaves that pair out
+    - any run with correct false, or no result, fails the whole set
+No benchmark run is launched.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_SPEC = importlib.util.spec_from_file_location("pairs", Path(__file__).resolve().parents[1] / "tools" / "pairs.py")
+pairs = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(pairs)
+
+
+def _run(correct=True, **values):
+    return {"correct": correct, "metrics": {name: {"value": v, "unit": "s"} for name, v in values.items()}}
+
+
+def _row(rows, workload, metric):
+    (row,) = [r for r in rows if (r["workload"], r["metric"]) == (workload, metric)]
+    return row
+
+
+def test_summary_gives_quartiles_ratio_and_wins():
+    base = [1.0, 2.0, 3.0, 4.0, 5.0]
+    change = [0.5, 2.0, 1.0, 3.0, 2.5]  # wins 4 of 5, the tie at 2.0 counts for neither
+    results = {"dense": [(_run(t=b), _run(t=c)) for b, c in zip(base, change)]}
+    row = _row(pairs.summarize(results), "dense", "t")
+    assert row["base"] == (1.5, 3.0, 4.5)
+    assert row["change"] == (0.75, 2.0, 2.75)
+    assert row["ratio"] == pytest.approx(2.0 / 3.0)
+    assert (row["wins"], row["pairs"]) == (4, 5)
+
+
+def test_summary_respects_direction_and_missing_metrics():
+    results = {
+        "random": [(_run(t=1.0, rate=10.0), _run(t=2.0, rate=12.0)), (_run(t=1.0, rate=10.0), _run(t=0.5))],
+        "small": [(_run(t=3.0), _run(t=3.0))],
+    }
+    rows = pairs.summarize(results, higher=frozenset({"rate"}))
+    rate = _row(rows, "random", "rate")
+    assert (rate["wins"], rate["pairs"], rate["ratio"]) == (1, 1, 1.2)
+    t = _row(rows, "random", "t")
+    assert (t["wins"], t["pairs"]) == (1, 2)
+    assert _row(rows, "small", "t")["wins"] == 0
+    assert len(rows) == 3
+
+
+def test_any_incorrect_or_missing_run_fails_the_set():
+    good = {"small": [(_run(t=1.0), _run(t=1.0))]}
+    assert pairs.all_correct(good)
+    assert not pairs.all_correct({"small": [(_run(t=1.0), _run(correct=False, t=1.0))]})
+    assert not pairs.all_correct({"small": [({"correct": False}, _run(t=1.0))]})

@@ -19,8 +19,10 @@ Claims checked here:
       (n = 28..40), and prunes anchor prefixes while visiting members in
       family order, checking a member's prefixes before its leaf; it
       decides each leaf by the greedy chain on that leaf's sorted segment
-      values, decides a one-member family with that one chain, and never
-      runs the counting DP
+      values and each prefix by the chain on the prefix's sorted segment
+      values and the sorted text after its last anchor, decides a
+      one-member family with that one chain, and never runs the
+      counting DP
     - its prefix check places the whole pattern, the later positions right
       of the prefix: it keeps only prefixes whose own positions chain, and
       strictly fewer than a check of those positions alone
@@ -348,8 +350,11 @@ def test_detect_decides_one_member_families_with_one_chain(monkeypatch):
             for seed in range(3):
                 inst = PpmInstance(random_permutation(n, 7000 + seed), random_permutation(k, 7100 + seed))
                 calls.clear()
-                answers.add(detect_ppm(inst))
-                assert len(calls) == 1, (n, k, seed)
+                # Member 1's buckets, its window at n when 2(k//2) = n and
+                # its tail for odd k, must be the one member's.
+                found, leaves = _detect_visits(monkeypatch, inst)
+                answers.add(found)
+                assert len(calls) == 1 and len(leaves) == 1, (n, k, seed)
     assert answers == {True, False}
 
 
@@ -460,27 +465,37 @@ def _detect_visits(monkeypatch, inst):
 
     Every check is one dp._has_chain call. A leaf is a call whose buckets
     cover pattern positions 1..2(k//2); the other calls are prefix checks.
-    The sorted values of those first 2(k//2) segments name the family
-    member uniquely, so a leaf's buckets are looked up among the family's;
-    a miss fails the test. For odd k, position k must draw from the
-    member's last segment: from its own bucket, or from the chain's shared
-    list, which is then the text after the last anchor, empty when that
-    anchor is n. The counting DP must not run at all.
+    The sorted values of a member's first 2j + 2 segments name its first
+    j + 1 anchors uniquely, since the first segment's length fixes the
+    first anchor and so on, so every check's buckets are looked up among
+    the family's; a miss fails the test. A prefix check's shared list
+    must be the sorted text after the prefix's last anchor. For odd k, a
+    leaf's position k must draw from the member's last segment: from its
+    own bucket, or from the chain's shared list, which is then the text
+    after the last anchor, empty when that anchor is n. The counting DP
+    must not run at all.
     """
     n, k = inst.n, inst.k
     r = k // 2
     sv = inst.sigma.values
     family = {}
+    prefixes = {}  # sorted values of a member's first 2j + 2 segments -> their last anchor
     for g in enumerate_guesses(n, k):
         d = decomposition_of_guess(g, n, k)
         values = [tuple(sorted(sv[lo - 1:hi])) for lo, hi in d.segments]
         family[tuple(values[:2 * r])] = d, values[2 * r:]
+        for j in range(r - 1):
+            prefixes[tuple(values[:2 * j + 2])] = g[j]
     assert len(family) == family_size(n, k)
     leaves = []
     real_chain = dp._has_chain
 
     def chaining(buckets, order, rest=()):
-        if len(buckets) >= 2 * r:
+        if len(buckets) < 2 * r:
+            key = tuple(map(tuple, buckets))
+            assert key in prefixes, "a prefix check ran on no family member's segments"
+            assert list(rest) == sorted(sv[prefixes[key]:])
+        else:
             key = tuple(map(tuple, buckets[:2 * r]))
             assert key in family, "a leaf chain ran on no family member's segments"
             d, last = family[key]
