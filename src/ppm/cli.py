@@ -38,7 +38,8 @@ GEN_MAX_N = 10**6
 # prints. A line of 1..N holds N - 1 spaces, a newline and, per digit
 # place d, one digit for each value of at least d + 1 digits.
 FILE_MAX_BYTES = 2 * (GEN_MAX_N + sum(GEN_MAX_N - 10**d + 1 for d in range(len(str(GEN_MAX_N)))))
-# Most decompositions count, detect and bench may face. One confined count
+# Most decompositions count, detect and bench may face; `detect --algo fast`
+# is charged the greedy chains it can run instead. One confined count
 # took 10-16 us on random and 28-47 us on identity texts at n = 56-60,
 # k = n/2 (2 vCPU, Python 3.11), where binom(n//2, k//2) reaches this size:
 # the largest admitted run takes at most about 7 * 10**7 * 50 us, an hour.
@@ -48,6 +49,9 @@ FAMILY_MAX = 7 * 10**7
 # run, the largest admitted one, at about 50 us / 84 = 0.6 us per unit.
 # The rate holds at n = 10**6, k = 2, where one count took 0.42-0.98 s,
 # 0.4-1 us per unit; its 5 * 10**5 members are refused by this cap alone.
+# A chain is cheaper: 721,800 of them took 222 s at n = 2402, k = 2400,
+# 0.06 us per unit, so the largest deep-k detection the cap admits
+# (n = 2864) should take about 6 minutes by its n^3 growth.
 WORK_SPAN = 84
 # Most `bench --reps`: enough for a median, and each rep reruns the whole count.
 REPS_MAX = 100
@@ -117,25 +121,49 @@ def _count_with(algorithm: str, instance: PpmInstance) -> int:
 
 
 def _decomposition_bound(algorithm: str, n: int, k: int) -> int:
-    """Decompositions the algorithm faces, or FAMILY_MAX + 1 once past the budget.
-
-    binom(m, j) = binom(m, m - j) is built one factor at a time and grows
-    at each step, so it stops once past the budget: in full it takes
-    seconds at n = 10**6.
-    """
+    """Decompositions the algorithm faces, or FAMILY_MAX + 1 once past the budget."""
     if algorithm == "brute":
         return 0
-    m, j = (n // 2 if algorithm == "fast" else n), k // 2
+    return _comb_past(n // 2 if algorithm == "fast" else n, k // 2, FAMILY_MAX)
+
+
+def _detect_chains(n: int, k: int) -> int:
+    """Greedy chains `detect --algo fast` can run, or FAMILY_MAX + 1 once past the budget.
+
+    The search checks each anchor prefix at most once, and depth j holds
+    binom(n//2 - k//2 + j, j) of them, so depths 1..k//2 sum (hockey stick)
+    to binom(n//2 + 1, k//2) - 1; member 1's leaf is skipped, its chain
+    runs first. An identity text against a pattern ending in a descent
+    reaches every prefix. When member 1 is the whole family (k//2 = n//2)
+    or k = 1, its one chain is all.
+    """
+    r = k // 2
+    if r in (0, n // 2):
+        return 1
+    return _comb_past(n // 2 + 1, r, FAMILY_MAX + 1) - 1
+
+
+def _comb_past(m: int, j: int, limit: int) -> int:
+    """binom(m, j), or limit + 1 once past limit.
+
+    binom(m, j) = binom(m, m - j) is built one factor at a time and grows
+    at each step, so it stops once past the limit: in full it takes
+    seconds at n = 10**6.
+    """
     size = 1
     for i in range(min(j, m - j)):
         size = size * (m - i) // (i + 1)
-        if size > FAMILY_MAX:
-            return FAMILY_MAX + 1
+        if size > limit:
+            return limit + 1
     return size
 
 
-def _check_family(algorithm: str, n: int, k: int) -> None:
-    size = _decomposition_bound(algorithm, n, k)
+def _check_family(command: str, algorithm: str, n: int, k: int) -> None:
+    """Refuse a run past the budgets: detect --algo fast is charged its chains."""
+    if (command, algorithm) == ("detect", "fast"):
+        size = _detect_chains(n, k)
+    else:
+        size = _decomposition_bound(algorithm, n, k)
     if size > FAMILY_MAX:
         raise PpmError(f"--algo {algorithm} on n={n} k={k} faces over {FAMILY_MAX} decompositions")
     if size * (n + k) > FAMILY_MAX * WORK_SPAN:
@@ -150,7 +178,7 @@ def _load_instance(args: argparse.Namespace) -> PpmInstance:
         _load_permutation(args.sigma, args.sigma_file, line=1),
         _load_permutation(args.pattern, args.pattern_file, line=2),
     )
-    _check_family(args.algo, instance.n, instance.k)
+    _check_family(args.command, args.algo, instance.n, instance.k)
     return instance
 
 
@@ -267,4 +295,4 @@ def _validate_config(args: argparse.Namespace) -> None:
             raise PpmError(f"bad pair n={n} k={k}, need 1 <= k <= n")
         if args.algo == "brute":
             oracle._check_cap(n, oracle.DEFAULT_MAX_N)
-        _check_family(args.algo, n, k)
+        _check_family(args.command, args.algo, n, k)

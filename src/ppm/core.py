@@ -12,7 +12,7 @@ values can be shared freely between concurrent workers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
 
@@ -117,21 +117,18 @@ class PpmInstance:
 
     sigma: Permutation
     pattern: Permutation
+    # The text and pattern lengths, set once at construction: every route
+    # reads them on every call. Derived, so kept out of equality, hash and repr.
+    n: int = field(init=False, repr=False, compare=False)
+    k: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if len(self.pattern) > len(self.sigma):
-            raise InstanceTooSmall(
-                f"pattern length k={len(self.pattern)} exceeds "
-                f"text length n={len(self.sigma)}"
-            )
-
-    @property
-    def n(self) -> int:
-        return len(self.sigma)
-
-    @property
-    def k(self) -> int:
-        return len(self.pattern)
+        n = len(self.sigma.values)
+        k = len(self.pattern.values)
+        if k > n:
+            raise InstanceTooSmall(f"pattern length k={k} exceeds text length n={n}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "k", k)
 
 
 @dataclass(frozen=True)
@@ -236,13 +233,12 @@ def is_solution(instance: PpmInstance, f: Embedding) -> bool:
     their pattern value must read strictly increasing text values.
     Equivalent to ``pattern_of(sigma at f) == pattern``.
     """
-    k = len(instance.pattern)
-    if len(f.values) != k:
-        raise LengthMismatch(f"embedding length {len(f.values)} != pattern length {k}")
-    if f.values[-1] > len(instance.sigma):
-        raise OutOfRange(f"position {f.values[-1]} beyond text length {len(instance.sigma)}")
-    sv = instance.sigma.values
     fv = f.values
+    if len(fv) != instance.k:
+        raise LengthMismatch(f"embedding length {len(fv)} != pattern length {instance.k}")
+    if fv[-1] > instance.n:
+        raise OutOfRange(f"position {fv[-1]} beyond text length {instance.n}")
+    sv = instance.sigma.values
     prev = 0
     for p in instance.pattern.inverse_values:
         cur = sv[fv[p - 1] - 1]

@@ -94,16 +94,13 @@ def count_respecting(
     past it. Pass a :class:`DpStats` to record cell writes and cursor
     advances.
     """
-    sigma = instance.sigma
-    n = len(sigma)
-    k = len(instance.pattern)
-    if len(d.segments) != k:
-        raise LengthMismatch(f"expected {k} segments, got {len(d.segments)}")
-    if d.n != n:
-        raise LengthMismatch(f"decomposition is over [1, {d.n}], text has length {n}")
+    if len(d.segments) != instance.k:
+        raise LengthMismatch(f"expected {instance.k} segments, got {len(d.segments)}")
+    if d.n != instance.n:
+        raise LengthMismatch(f"decomposition is over [1, {d.n}], text has length {instance.n}")
     validate_decomposition(d)
 
-    buckets = _segment_value_buckets(sigma, d.segments)
+    buckets = _segment_value_buckets(instance.sigma, d.segments)
     return _count_levels(buckets, instance.pattern.inverse_values, stats)
 
 

@@ -430,6 +430,40 @@ def test_family_budget_boundary(capsys, monkeypatch):
             assert run_cli(capsys, "bench", "--algo", algo, "--pairs", "5:3", "--reps", "1")[0] == 2
 
 
+def _deep_detect_args(n):
+    # Identity text against a k = n - 2 pattern ending in a descent: every
+    # anchor prefix passes, so detection checks all binom(n//2 + 1, k//2) - 1.
+    sigma = " ".join(map(str, range(1, n + 1)))
+    pattern = " ".join(map(str, [*range(1, n - 3), n - 2, n - 3]))
+    return ("detect", "--sigma", sigma, "--pattern", pattern)
+
+
+def test_detect_budget_charges_its_chains(capsys, monkeypatch):
+    assert cli._detect_chains(402, 400) == comb(202, 200) - 1 == 20_300
+    assert cli._detect_chains(2402, 2400) == 721_800
+    # It runs at n = 402 (about a second), and n = 3,000 is refused before any work.
+    assert run_cli(capsys, *_deep_detect_args(402)) == (0, "false\n", "")
+
+    def no_search(_instance):
+        raise AssertionError("detection started")
+
+    monkeypatch.setattr(solver, "detect_ppm", no_search)
+    code, out, err = run_cli(capsys, *_deep_detect_args(3000))
+    assert (code, out) == (2, "")
+    assert err == (
+        "ppm: --algo fast on n=3000 k=2998 faces decompositions * (n + k) ="
+        f" {(comb(1501, 1499) - 1) * 5998}, over {cli.FAMILY_MAX * cli.WORK_SPAN}\n"
+    )
+    # At k = n/2 the chains pass the family budget one pair sooner than count's members.
+    cli._check_family("detect", "fast", 54, 27)
+    with pytest.raises(ppm.PpmError, match=f"over {cli.FAMILY_MAX} decompositions"):
+        cli._check_family("detect", "fast", 56, 28)
+    cli._check_family("count", "fast", 56, 28)
+    # A one-member family, or k = 1, is one chain, however long the text.
+    cli._check_family("detect", "fast", 10**6, 10**6)
+    cli._check_family("detect", "fast", 10**6, 1)
+
+
 def test_work_budget_refuses_long_text_tiny_pattern(capsys, monkeypatch):
     # 5 * 10**5 members of n + k = 10**6 + 2 each: days of work under the family budget.
     def no_draw(*_args):

@@ -7,12 +7,15 @@ Claims checked here:
     - respects is monotone under segment enlargement
     - constructors enforce the type invariants (bijection, k <= n,
       strictly increasing embeddings) with the documented errors
+    - an instance stores n and k at construction, outside equality, hash
+      and repr
     - validate_decomposition raises exactly when 1 <= l1 <= r1 <= l2 <= ...
       <= rk <= n fails, with the error the per-rule checks give, on every
       small decomposition
 """
 
 import random
+from dataclasses import FrozenInstanceError
 from itertools import chain, product
 
 import pytest
@@ -278,8 +281,24 @@ def test_permutation_rejects_empty():
 
 
 def test_instance_rejects_long_pattern():
-    with pytest.raises(InstanceTooSmall):
+    with pytest.raises(InstanceTooSmall, match="^pattern length k=3 exceeds text length n=2$"):
         PpmInstance(Permutation((2, 1)), Permutation((1, 2, 3)))
+
+
+def test_instance_states_n_and_k_once():
+    inst = PpmInstance(Permutation((3, 1, 4, 2)), Permutation((2, 1)))
+    # Set at construction, not on first read: both are already stored.
+    assert vars(inst)["n"] == 4 == len(inst.sigma)
+    assert vars(inst)["k"] == 2 == len(inst.pattern)
+    with pytest.raises(FrozenInstanceError):
+        inst.n = 5
+    # Derived from the two fields, so they leave equality, hash and repr alone.
+    twin = PpmInstance(Permutation((3, 1, 4, 2)), Permutation((2, 1)))
+    assert twin == inst and hash(twin) == hash(inst)
+    assert twin != PpmInstance(Permutation((3, 1, 4, 2)), Permutation((1, 2)))
+    assert repr(inst) == (
+        "PpmInstance(sigma=Permutation(values=(3, 1, 4, 2)), pattern=Permutation(values=(2, 1)))"
+    )
 
 
 def test_embedding_must_strictly_increase():

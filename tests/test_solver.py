@@ -31,8 +31,8 @@ Claims checked here:
     - count_ppm and detect_ppm keep no stack frame per anchor: both run
       at k // 2 = 1,200, past CPython's recursion limit, and detect_ppm
       keeps O(n) memory: one sorted suffix at any depth, below 1 MiB of
-      peak traced memory on the deep member-2 case there and with
-      k // 2 <= 2 at n = 3,000
+      peak traced memory on the deep member-2 case there, within twice
+      the checks that case needs, and with k // 2 <= 2 at n = 3,000
     - count_ppm hands dp.count_respecting each family member once, in
       family order
     - far past the oracle's default reach, count_ppm and detect_ppm match
@@ -386,11 +386,25 @@ def _traced_detect(inst):
         tracemalloc.stop()
 
 
-def test_deep_detect_memory_stays_small():
+def test_deep_detect_memory_stays_small(monkeypatch):
     # The search keeps all 1,199 prefixes of member 1's anchors before it
     # reaches member 2. It holds two sorted segments per depth, which
     # together cover the text once, and one sorted text suffix. A sorted
     # suffix kept per placed anchor would take O(n^2): 11.6 MiB here.
+    # It makes 1,201 checks. A search that missed member 2 would go on
+    # through a family whose search time grows as n^3, for minutes under
+    # tracing, so the checks are capped at twice that to fail in seconds.
+    real_chain = dp._has_chain
+    checks = 0
+
+    def capped(buckets, order, rest=()):
+        nonlocal checks
+        checks += 1
+        if checks > 2 * 1201:
+            raise AssertionError("detection ran past twice the checks it needs")
+        return real_chain(buckets, order, rest)
+
+    monkeypatch.setattr(dp, "_has_chain", capped)
     found, peak = _traced_detect(_deep_member_2())
     assert found and peak < 2**20
 
