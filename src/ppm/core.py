@@ -152,15 +152,6 @@ class Embedding:
             if a >= b:
                 raise OrderViolation(f"positions not strictly increasing: {a} >= {b}")
 
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def __call__(self, i: int) -> int:
-        """Text position assigned to 1-based pattern position i."""
-        if not 1 <= i <= len(self.values):
-            raise OutOfRange(f"pattern position {i} not in 1..{len(self.values)}")
-        return self.values[i - 1]
-
 
 @dataclass(frozen=True)
 class SegmentDecomposition:
@@ -181,9 +172,6 @@ class SegmentDecomposition:
         if not self.segments:
             raise EmptyInput("a decomposition has at least one segment")
 
-    def __len__(self) -> int:
-        return len(self.segments)
-
 
 def parse_permutation(text: str) -> Permutation:
     """Parse one-line notation: integers separated by whitespace and/or commas.
@@ -198,7 +186,13 @@ def parse_permutation(text: str) -> Permutation:
     for tok in tokens:
         if not (tok.isascii() and tok.isdigit()):
             raise MalformedToken(f"not an unsigned decimal integer: {tok!r}")
-        out.append(int(tok))
+        digits = tok.lstrip("0") or "0"
+        try:
+            out.append(int(digits))
+        except ValueError:  # past the interpreter's limit on digits per int
+            raise NotAPermutation(
+                f"value of {len(digits)} digits not in 1..{len(tokens)}"
+            ) from None
     return Permutation(tuple(out))
 
 

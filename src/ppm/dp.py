@@ -35,12 +35,7 @@ placement exists exactly when this greedy chain never runs off a bucket:
 if any increasing placement y exists, then by induction the greedy value
 g_i <= y_i at every level, so the greedy step never fails. The same
 argument holds when the positions past the last bucket share one sorted
-list of candidate values instead of their own buckets. Detection passes
-the buckets of an anchor prefix and, as that list, the sorted text after
-the prefix's last anchor, where every occurrence confined to a member
-below the prefix places its later positions. It decides member 1, every
-anchor prefix and every leaf by this one chain and never runs the
-counting DP.
+list of candidate values instead of their own buckets.
 """
 
 from __future__ import annotations

@@ -58,7 +58,8 @@ def bkm_count(instance: PpmInstance) -> int:
     occurrence, and only those are generated: anchors a_i = b_i + i for
     increasing b_1 < ... < b_r in 1..n - r - k%2, r = k//2, so
     binom(n - r - k%2, r) of the binom(n, r) guesses. These are exactly
-    the guesses `_bkm_segments` accepts, so the family is still BKM's.
+    the guesses whose segments pass `validate_decomposition`, so the
+    family is still BKM's.
     Each is counted by the shared confined counter and summed. Always
     equals count_ppm.
     """
@@ -72,20 +73,17 @@ def bkm_count(instance: PpmInstance) -> int:
     return total
 
 
-def _bkm_segments(
-    anchors: tuple[int, ...], n: int, k: int
-) -> tuple[tuple[int, int], ...] | None:
-    """Point/gap segments for one even-position assignment; None if a gap is empty."""
+def _bkm_segments(anchors: tuple[int, ...], n: int, k: int) -> tuple[tuple[int, int], ...]:
+    """Point/gap segments for one even-position assignment, unchecked.
+
+    A gap the anchors leave no room for comes out as an empty segment.
+    """
     segs = []
     lo = 1
     for a in anchors:
-        if lo >= a:
-            return None
         segs += ((lo, a - 1), (a, a))
         lo = a + 1
     if k % 2:
-        if lo > n:
-            return None
         segs.append((lo, n))
     return tuple(segs)
 

@@ -20,19 +20,24 @@ Counting is the family sum as it stands: it streams the members from
 :func:`enumerate_guesses` and adds up their confined counts. Detection
 needs only whether some member holds an occurrence, which
 ``dp._has_chain`` decides with one bisect per pattern position and no DP.
-It searches the same family in the same order, depth first over the
-anchors, and prunes it by anchor prefix: the first 2j segments of a
-member depend only on its first j anchors, and an occurrence confined to
-the member places pattern positions 1..2j inside those segments and every
-later position right of the j-th anchor. ``dp._has_chain`` decides
-whether the whole pattern can be placed that way, one bisect per prefix
-position. The sorted segment values of a prefix are built once and
-shared by every member below it, and none is sorted afresh: a
-window is one text pair, put in order by one comparison, and moving an
-anchor two places right adds the two text values it passes to the
-stretch before it. When a prefix fails, no member sharing
+It decides member 1 first, whose segments are the text pairs (1, 2),
+(2, 3), ... and, for odd k, the text after them. Then it searches the
+same family in the same order, depth first over the anchors, and prunes
+it by anchor prefix: the first 2j segments of a member depend only on its
+first j anchors, and an occurrence confined to the member places pattern
+positions 1..2j inside those segments and every later position right of
+the j-th anchor. One ``dp._has_chain`` call decides whether the whole
+pattern can be placed that way. When a prefix fails, no member sharing
 it holds an occurrence, so the search skips all of them and the answer
-stays exact.
+stays exact; at the last anchor the same call decides a whole member,
+with the text after the anchor as the last segment for odd k.
+The sorted segment values of a prefix are built once and shared by every
+member below it, and none is sorted afresh: a window is one text pair,
+put in order by one comparison, and moving an anchor two places right
+inserts the two text values it passes into the stretch before it. The
+sorted text after the anchor being stepped is one list, which a step
+shrinks by those two values and a backtrack rebuilds from the parent's
+anchor, so the search keeps O(n) memory at any depth.
 Pruning depends on the instance; where no prefix fails the search still
 reaches all binom(n//2, k//2) members and checks up to k//2 prefixes on
 the way to each, at O(n log n) a check, so detection's worst case is
@@ -155,35 +160,13 @@ def count_ppm(instance: PpmInstance, threads: int = 1) -> int:
 def detect_ppm(instance: PpmInstance) -> bool:
     """Whether the pattern occurs at all.
 
-    Decides member 1 first, by one greedy chain over its whole pattern
-    order; its segments are the text pairs (1, 2), (2, 3), ... and, for
-    odd k, the text after them. Then searches the family depth first, in
-    the lexicographic order of :func:`enumerate_guesses`, and returns True
-    at the first member that holds an occurrence. Placing anchor j at a
-    fixes the two segments of pattern positions 2j + 1 and 2j + 2, whose
-    sorted values sit at ``buckets[2j]`` and ``buckets[2j + 1]``, shared
-    by every member below that prefix. A step of anchor j from a - 2 to a
-    inserts the two text values it passes into the sorted stretch of its
-    earlier steps, or starts it as that pair at its first step, and
-    replaces the window by the ordered pair of text values a and a + 1
-    (only a when a = n); nothing is sorted afresh. Every
-    check is one ``dp._has_chain`` over the whole pattern order, with
-    positions 1..2j + 2 in their segments and every later position
-    drawing from the sorted text after a. Below the last anchor this is a
-    prefix check: an occurrence confined to a member below the prefix is
-    such a chain, so a prefix that fails rules out every member sharing
-    it and the answer stays exact. At the last anchor it decides a leaf,
-    a whole member; for odd k the text after a is its last segment, or
-    empty when a = n, where no occurrence fits. Member 1's leaf, already
-    decided, is skipped. A check makes one bisect per placed position but
-    steps through all k positions. The sorted text after the anchor being
-    stepped is one list, which a step shrinks by the two values it passes
-    and a backtrack rebuilds from the parent's anchor, so detection keeps
-    O(n) memory at any depth. Detection never runs the counting DP or
-    builds a decomposition, and keeps its own stack rather than recursing,
+    Exact: True exactly when :func:`count_ppm` is nonzero. Searches the
+    anchor family in the order of :func:`enumerate_guesses` and returns at
+    the first member that holds an occurrence, deciding member 1 before
+    the search. Keeps O(n) memory and its own stack rather than recursing,
     since k//2 may exceed Python's recursion limit. Where no prefix fails
-    it still reaches all binom(n//2, k//2) leaves, and checks up to k//2
-    prefixes on the way to each.
+    it still reaches all binom(n//2, k//2) members and checks up to k//2
+    prefixes on the way to each, O(k n log n * 2^(n/2)) in all.
     """
     n, k = instance.n, instance.k
     r = k // 2
@@ -203,7 +186,8 @@ def detect_ppm(instance: PpmInstance) -> bool:
     last = 2 * (n // 2 - r)  # anchor j (0-based) runs up to last + 2 * (j + 1)
     rest = sorted(sv)  # sorted text values after the anchor being stepped
     anchors = [0]  # the kept prefix a1..aj, then anchor j being stepped
-    buckets: list[list[int]] = []  # sorted values on the segments a1..aj fix
+    # Sorted values on the segments a1..aj fix, then anchor j's stretch.
+    buckets: list[list[int]] = [[]]
     while anchors:
         j = len(anchors) - 1
         a = anchors[j] = anchors[j] + 2
@@ -216,11 +200,8 @@ def detect_ppm(instance: PpmInstance) -> bool:
         rest.remove(x)
         rest.remove(y)
         del buckets[2 * j + 1:]
-        if len(buckets) > 2 * j:  # the stretch of anchor j's earlier steps
-            insort(buckets[2 * j], x)
-            insort(buckets[2 * j], y)
-        else:
-            buckets.append([x, y] if x < y else [y, x])
+        insort(buckets[2 * j], x)
+        insort(buckets[2 * j], y)
         if j == r - 1 and a == 2 * r:  # member 1's leaf
             continue
         buckets.append(([y, sv[a]] if y < sv[a] else [sv[a], y]) if a < n else [y])
@@ -228,4 +209,5 @@ def detect_ppm(instance: PpmInstance) -> bool:
             if j == r - 1:
                 return True
             anchors.append(a)
+            buckets.append([])
     return False

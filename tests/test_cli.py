@@ -49,9 +49,20 @@ def test_count_rejects_long_pattern(capsys):
     assert "k=3" in err and "n=2" in err
 
 
-def test_count_rejects_bad_text(capsys):
+def test_count_rejects_bad_text(tmp_path, capsys):
     code, _, err = run_cli(capsys, "count", "--sigma", "1 1", "--pattern", "1")
     assert code == 2 and err.startswith("ppm:")
+    # A value too long for int() is out of range, reported without echoing it;
+    # leading zeros of any length still parse, inline and from a file.
+    long_file = tmp_path / "long.txt"
+    long_file.write_text("9" * 5000 + "\n")
+    zeros_file = tmp_path / "zeros.txt"
+    zeros_file.write_text("0" * 5000 + "1\n")
+    for source in (("--sigma", "9" * 5000), ("--sigma-file", str(long_file))):
+        code, out, err = run_cli(capsys, "count", *source, "--pattern", "1")
+        assert (code, out, err) == (2, "", "ppm: value of 5000 digits not in 1..1\n")
+    for source in (("--sigma", "0" * 5000 + "1"), ("--sigma-file", str(zeros_file))):
+        assert run_cli(capsys, "count", *source, "--pattern", "1") == (0, "1\n", "")
 
 
 def test_count_brute_cap_exceeded(capsys):

@@ -51,6 +51,9 @@ from ppm.selftest import random_instance
 def test_parse_basic():
     assert parse_permutation("3 2 5 4 1").values == (3, 2, 5, 4, 1)
     assert parse_permutation("1").values == (1,)
+    # Leading zeros of any length are tolerated, even past the interpreter's
+    # limit on digits per int conversion.
+    assert parse_permutation("02 " + "0" * 5000 + "1").values == (2, 1)
 
 
 def test_parse_separators():
@@ -68,6 +71,11 @@ def test_parse_rejects_out_of_range_and_missing():
         parse_permutation("1 3")  # 2 missing, 3 out of range for n=2
     with pytest.raises(NotAPermutation):
         parse_permutation("0 1")
+    # A value too long to convert is out of range; the message leaves it out.
+    with pytest.raises(NotAPermutation, match=r"^value of 5000 digits not in 1\.\.2$"):
+        parse_permutation("1 " + "9" * 5000)
+    with pytest.raises(NotAPermutation, match=r"^value of 5000 digits not in 1\.\.1$"):
+        parse_permutation("0" * 3 + "9" * 5000)
 
 
 def test_parse_rejects_empty_and_garbage():
@@ -310,6 +318,11 @@ def test_embedding_must_strictly_increase():
         Embedding((0, 1))
     with pytest.raises(EmptyInput):
         Embedding(())
+    # A list goes through the same checks as a tuple.
+    with pytest.raises(OrderViolation):
+        Embedding([3, 2])
+    with pytest.raises(EmptyInput):
+        Embedding([])
 
 
 def test_types_hashable_and_immutable():
@@ -319,3 +332,14 @@ def test_types_hashable_and_immutable():
     assert d in {d}
     with pytest.raises(Exception):
         p.values = (1, 2)
+    # Built from lists, each type equals its tuple-built value and hashes alike.
+    for built, want in (
+        (Permutation([2, 1]), p),
+        (Embedding([1, 3]), Embedding((1, 3))),
+        (SegmentDecomposition([[1, 1], [2, 2]], 2), d),
+        (SegmentDecomposition([(1, 1), (2, 2)], 2), d),
+    ):
+        assert built == want and hash(built) == hash(want)
+    for empty in ((), []):
+        with pytest.raises(EmptyInput):
+            SegmentDecomposition(empty, 2)

@@ -32,6 +32,7 @@ from ppm.core import (
     SegmentDecomposition,
     pattern_of,
     respects,
+    validate_decomposition,
 )
 from ppm.dp import (
     DpStats,
@@ -155,10 +156,11 @@ def test_matches_enumeration_on_point_gap_decompositions():
         n = rng.randint(2, 12)
         inst = random_instance(rng, n)
         anchors = tuple(sorted(rng.sample(range(1, n + 1), inst.k // 2)))
-        segs = oracle._bkm_segments(anchors, n, inst.k)
-        if segs is None:
+        d = SegmentDecomposition(oracle._bkm_segments(anchors, n, inst.k), n)
+        try:
+            validate_decomposition(d)
+        except EmptySegment:  # the guess leaves a gap empty
             continue
-        d = SegmentDecomposition(segs, n)
         assert count_respecting(inst, d) == _oracle_count(inst, d)
         checked += 1
 

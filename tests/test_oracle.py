@@ -7,9 +7,9 @@ Claims checked here:
     - bkm_count equals both other routes, exhaustively small and random
     - each occurrence is consistent with exactly one surviving guess of
       the baseline (the guesses partition the occurrences)
-    - the baseline generates exactly the guesses _bkm_segments accepts,
-      in order, and brute force lists exactly the embeddings is_solution
-      accepts, in order
+    - the baseline generates exactly the guesses whose segments pass
+      validate_decomposition, in order, and brute force lists exactly the
+      embeddings is_solution accepts, in order
 """
 
 import random
@@ -21,12 +21,14 @@ import pytest
 from ppm import dp, solver
 from ppm.core import (
     Embedding,
+    EmptySegment,
     InstanceTooLarge,
     Permutation,
     PpmInstance,
     SegmentDecomposition,
     is_solution,
     respects,
+    validate_decomposition,
 )
 from ppm.oracle import (
     _bkm_segments,
@@ -36,6 +38,15 @@ from ppm.oracle import (
 )
 from ppm.rng import random_permutation
 from ppm.selftest import exhaustive_instances, random_instance
+
+
+def _no_empty_gap(d):
+    """Whether a guess's decomposition is feasible: only an empty gap can fail it."""
+    try:
+        validate_decomposition(d)
+    except EmptySegment:
+        return False
+    return True
 
 
 def _inst(sigma, pattern):
@@ -117,7 +128,7 @@ def test_bkm_equals_other_routes_random():
 
 def test_bkm_counts_exactly_the_feasible_guesses(monkeypatch):
     # The shifted enumeration generates, in order, the guesses whose
-    # segments _bkm_segments accepts: binom(n - k//2 - k%2, k//2) of them.
+    # segments leave no gap empty: binom(n - k//2 - k%2, k//2) of them.
     calls = []
     real = dp.count_respecting
 
@@ -131,9 +142,9 @@ def test_bkm_counts_exactly_the_feasible_guesses(monkeypatch):
             calls.clear()
             bkm_count(PpmInstance(random_permutation(n, n), random_permutation(k, k)))
             feasible = [
-                SegmentDecomposition(segs, n)
+                d
                 for a in combinations(range(1, n + 1), k // 2)
-                if (segs := _bkm_segments(a, n, k)) is not None
+                if _no_empty_gap(d := SegmentDecomposition(_bkm_segments(a, n, k), n))
             ]
             assert calls == feasible
             assert len(calls) == comb(n - k // 2 - k % 2, k // 2)
@@ -144,11 +155,11 @@ def test_bkm_guesses_partition_solutions():
     for _ in range(100):
         inst = random_instance(rng, rng.randint(2, 8))
         n, k = inst.n, inst.k
-        decomps = []
-        for anchors in combinations(range(1, n + 1), k // 2):
-            segs = _bkm_segments(anchors, n, k)
-            if segs is not None:
-                decomps.append(SegmentDecomposition(segs, n))
+        decomps = [
+            d
+            for anchors in combinations(range(1, n + 1), k // 2)
+            if _no_empty_gap(d := SegmentDecomposition(_bkm_segments(anchors, n, k), n))
+        ]
         for f in brute_force_enumerate(inst):
             assert sum(1 for d in decomps if respects(f, d)) == 1
 
@@ -159,6 +170,8 @@ def test_bkm_segment_shapes():
     # k even: trailing point segment
     assert _bkm_segments((2, 4), 4, 4) == ((1, 1), (2, 2), (3, 3), (4, 4))
     # adjacent anchors squeeze the middle gap empty
-    assert _bkm_segments((2, 3), 4, 4) is None
+    assert not _no_empty_gap(SegmentDecomposition(_bkm_segments((2, 3), 4, 4), 4))
     # anchor at position 1 leaves no room for pattern position 1
-    assert _bkm_segments((1,), 4, 2) is None
+    assert not _no_empty_gap(SegmentDecomposition(_bkm_segments((1,), 4, 2), 4))
+    # an anchor at n leaves no room for pattern position k when k is odd
+    assert not _no_empty_gap(SegmentDecomposition(_bkm_segments((4,), 4, 3), 4))

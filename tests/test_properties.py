@@ -1,8 +1,8 @@
 """Hypothesis properties of the solver against the brute-force oracle, n <= 10.
 
 Claims checked here:
-    - count_ppm equals brute_force_count, and detect_ppm says whether it
-      is positive, on arbitrary (text, pattern) pairs
+    - count_ppm and bkm_count equal brute_force_count, and detect_ppm
+      says whether it is positive, on arbitrary (text, pattern) pairs
     - the same on planted pairs, whose pattern is the order pattern of a
       subsequence of the text, so the count is at least one
     - the greedy chain, detection's leaf check, holds exactly when the
@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 
 from ppm.core import Permutation, PpmInstance, pattern_of
 from ppm.dp import DpStats, _count_levels, _has_chain
-from ppm.oracle import brute_force_count
+from ppm.oracle import bkm_count, brute_force_count
 from ppm.solver import count_ppm, detect_ppm
 
 MAX_N = 10
@@ -80,6 +80,7 @@ def planted_pairs(draw):
 def _check_against_oracle(inst):
     want = brute_force_count(inst)
     assert count_ppm(inst) == want
+    assert bkm_count(inst) == want
     assert detect_ppm(inst) == (want > 0)
     return want
 
