@@ -21,9 +21,10 @@ Counting is the family sum as it stands: it streams the members from
 needs only whether some member holds an occurrence, which
 ``dp._has_chain`` decides with one bisect per pattern position and no DP.
 It decides member 1 first, whose segments are the text pairs (1, 2),
-(2, 3), ... and, for odd k, the text after them. Then it searches the
-same family in the same order, depth first over the anchors, and prunes
-it by anchor prefix: the first 2j segments of a member depend only on its
+(2, 3), ...; for odd k, position k draws from the sorted text after its
+anchors, as at every leaf of the search. Then it searches the same
+family in the same order, depth first over the anchors, and prunes it
+by anchor prefix: the first 2j segments of a member depend only on its
 first j anchors, and an occurrence confined to the member places pattern
 positions 1..2j inside those segments and every later position right of
 the j-th anchor. One ``dp._has_chain`` call decides whether the whole
@@ -177,11 +178,9 @@ def detect_ppm(instance: PpmInstance) -> bool:
     member1 = [[x, y] if x < y else [y, x] for x, y in zip(sv, sv[1:2 * r + 1])]
     if 2 * r == n:
         member1.append([sv[n - 1]])
-    if k % 2:
-        member1.append(sorted(sv[2 * r:]))
-    if dp._has_chain(member1, pinv):
+    if dp._has_chain(member1, pinv, sorted(sv[2 * r:]) if k % 2 else ()):
         return True
-    if r == n // 2:  # member 1 is the whole family
+    if r == n // 2:  # member 1 is the whole family; k = 1 was decided by it above
         return False
     last = 2 * (n // 2 - r)  # anchor j (0-based) runs up to last + 2 * (j + 1)
     rest = sorted(sv)  # sorted text values after the anchor being stepped

@@ -7,6 +7,7 @@ Exit code convention under test: 0 success, 1 self-test failure,
 import os
 import subprocess
 import sys
+from itertools import chain, count, islice
 from math import comb
 from pathlib import Path
 
@@ -316,6 +317,84 @@ def test_selftest_catches_detect_mutant(capsys, monkeypatch):
     assert code == 1
     assert "algorithms-agree: fail" in out.splitlines()
     assert "detect=False" in err
+
+
+def _repeat_member_1(real):
+    return lambda n, k: chain(islice(real(n, k), 1), real(n, k))
+
+
+def _drop_member_1(real):
+    return lambda n, k: islice(real(n, k), 1, None)
+
+
+def _canonical_is_member_1(real):
+    return lambda f, n: real(type(f)(tuple(range(1, len(f.values) + 1))), n)
+
+
+def _rejects_prefix_checks(real):
+    # Prefix checks are the chains that draw later positions from `rest`.
+    return lambda buckets, order, rest=(): len(buckets) >= len(order) and real(buckets, order, rest)
+
+
+def _unique_cover():
+    return selftest.check_unique_cover(selftest.exhaustive_instances(4))
+
+
+# Each case plants one fault, built from the real attribute, and names a
+# check that must report it and the start of the detail it must give.
+SELFTEST_FAULTS = {
+    "repeated-member-cover": (solver, "enumerate_guesses", _repeat_member_1, _unique_cover, "2 members cover"),
+    "repeated-member-family": (
+        solver, "enumerate_guesses", _repeat_member_1, lambda: selftest.check_family(4), "family size",
+    ),
+    "dropped-member-cover": (solver, "enumerate_guesses", _drop_member_1, _unique_cover, "0 members cover"),
+    "dropped-member-family": (
+        solver, "enumerate_guesses", _drop_member_1, lambda: selftest.check_family(4), "family size",
+    ),
+    "wrong-canonical-cover": (solver, "canonical_decomposition", _canonical_is_member_1, _unique_cover, "cover of f="),
+    "wrong-canonical-lowerbound": (
+        solver, "canonical_decomposition", _canonical_is_member_1, lambda: selftest.check_lowerbound(6),
+        "lower-bound family size",
+    ),
+    "reversing-format": (
+        selftest, "format_permutation", lambda real: lambda p: " ".join(map(str, reversed(p.values))),
+        lambda: selftest._suite_parse_roundtrip(2), "round-trip failed",
+    ),
+    "accepting-is-solution": (
+        selftest, "is_solution", lambda real: lambda inst, f: True,
+        lambda: selftest._suite_solution_two_routes(2), "routes disagree",
+    ),
+    "width-capped-respects": (
+        selftest, "respects", lambda real: lambda f, d: real(f, d) and all(hi - lo < 3 for lo, hi in d.segments),
+        lambda: selftest._suite_respects_monotone(2), "enlarging segments dropped",
+    ),
+    "unseeded-random-permutation": (
+        selftest, "random_permutation", lambda real: lambda n, seed, draws=count(): real(n, seed + next(draws)),
+        lambda: selftest._suite_gen_deterministic(2), "two draws differ",
+    ),
+    "rejecting-prefix-chain": (
+        dp, "_has_chain", _rejects_prefix_checks, lambda: selftest._suite_dp_enumeration(2), "prefix check fails",
+    ),
+}
+
+
+@pytest.mark.parametrize("module,name,fault,check,detail", SELFTEST_FAULTS.values(), ids=SELFTEST_FAULTS)
+def test_every_selftest_check_can_fail(monkeypatch, module, name, fault, check, detail):
+    monkeypatch.setattr(module, name, fault(getattr(module, name)))
+    assert check().startswith(detail)
+
+
+def test_selftest_reports_a_crashing_suite(capsys, monkeypatch):
+    def crash(n, seed):
+        raise RuntimeError("planted")
+
+    monkeypatch.setattr(selftest, "random_permutation", crash)
+    results = {name: (ok, detail) for name, ok, detail in selftest.run_suites(1)}
+    assert results["parse-roundtrip"] == (False, "raised RuntimeError: planted")
+    code, out, err = run_cli(capsys, "selftest", "--max-n", "1")
+    assert code == 1
+    assert "parse-roundtrip: fail" in out.splitlines()
+    assert "  raised RuntimeError: planted\n" in err
 
 
 # -- defaults -----------------------------------------------------------------------------

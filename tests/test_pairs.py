@@ -7,10 +7,12 @@ Claims checked here:
     - a metric named better-when-higher wins when it rises
     - a metric missing from one side of a pair leaves that pair out
     - any run with correct false, or no result, fails the whole set
+    - a run past its timeout counts as incorrect, so the set exits 1
 No benchmark run is launched.
 """
 
 import importlib.util
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -59,3 +61,18 @@ def test_any_incorrect_or_missing_run_fails_the_set():
     assert pairs.all_correct(good)
     assert not pairs.all_correct({"small": [(_run(t=1.0), _run(correct=False, t=1.0))]})
     assert not pairs.all_correct({"small": [({"correct": False}, _run(t=1.0))]})
+
+
+def test_a_run_past_its_timeout_fails_the_set(monkeypatch, tmp_path, capsys):
+    timeouts = []
+
+    def hang(cmd, timeout=None, **kwargs):
+        timeouts.append(timeout)
+        raise subprocess.TimeoutExpired(cmd, timeout)
+
+    monkeypatch.setattr(pairs.subprocess, "run", hang)
+    monkeypatch.setattr(pairs, "_extract", lambda rev, into: None)
+    assert pairs.run_once(tmp_path, "small", 1) == {"correct": False}
+    assert pairs.main(["--base", "HEAD", "--workloads", "small", "--pairs", "1"]) == 1
+    assert timeouts == [pairs.RUN_TIMEOUT_S] * 3 and pairs.RUN_TIMEOUT_S == 180
+    assert "ran past 180 s" in capsys.readouterr().err

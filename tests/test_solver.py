@@ -17,12 +17,14 @@ Claims checked here:
     - detect_ppm short-circuits at the first nonzero member, finds
       planted patterns and keeps its answer under the symmetries
       (n = 28..40), and prunes anchor prefixes while visiting members in
-      family order, checking a member's prefixes before its leaf; it
-      decides each leaf by the greedy chain on that leaf's sorted segment
-      values and each prefix by the chain on the prefix's sorted segment
-      values and the sorted text after its last anchor, decides a
-      one-member family with that one chain, and never runs the
-      counting DP
+      family order, checking a member's prefixes before its leaf; every
+      check, member 1's too, is one greedy chain on the sorted first
+      2(j + 1) segments of a family member, with the sorted text after
+      their last anchor as the rest; it decides a one-member family with
+      one chain and never runs the counting DP
+    - it makes no more chains than cli._detect_chains charges, and
+      exactly that many on an identity text against a pattern ending in
+      a descent (even k, n <= 24)
     - its prefix check places the whole pattern, the later positions right
       of the prefix: it keeps only prefixes whose own positions chain, and
       strictly fewer than a check of those positions alone
@@ -48,7 +50,7 @@ Claims checked here:
 import random
 import threading
 import tracemalloc
-from itertools import islice, permutations, product
+from itertools import accumulate, islice, permutations, product
 from math import comb
 
 import pytest
@@ -323,24 +325,18 @@ def test_detect_worked_examples():
 
 def test_detect_short_circuits(monkeypatch):
     # Identity text: the very first guess already contains an occurrence.
-    found, leaves = _detect_visits(monkeypatch, PpmInstance(_identity(8), _identity(2)))
+    found, leaves, _ = _record_checks(monkeypatch, PpmInstance(_identity(8), _identity(2)))
     assert found and len(leaves) == 1
     # Absent pattern: every member must be visited before saying no.
-    found, leaves = _detect_visits(monkeypatch, _inst((2, 1), (1, 2)))
+    found, leaves, _ = _record_checks(monkeypatch, _inst((2, 1), (1, 2)))
     assert not found and len(leaves) == family_size(2, 2)
 
 
 def test_detect_decides_one_member_families_with_one_chain(monkeypatch):
     # k // 2 == 0 or k // 2 == n // 2: member 1 is the whole family, so its
-    # own chain is the only check, whatever the answer.
-    calls = []
-    real = dp._has_chain
-
-    def chaining(buckets, order, rest=()):
-        calls.append(order)
-        return real(buckets, order, rest)
-
-    monkeypatch.setattr(dp, "_has_chain", chaining)
+    # own chain is the only check, whatever the answer. The recorder pins
+    # its buckets, with the window at n when 2(k//2) = n, and for odd k
+    # its rest, the text after its anchors.
     answers = set()
     for n in range(1, 9):
         for k in range(1, n + 1):
@@ -349,12 +345,9 @@ def test_detect_decides_one_member_families_with_one_chain(monkeypatch):
             assert family_size(n, k) == 1
             for seed in range(3):
                 inst = PpmInstance(random_permutation(n, 7000 + seed), random_permutation(k, 7100 + seed))
-                calls.clear()
-                # Member 1's buckets, its window at n when 2(k//2) = n and
-                # its tail for odd k, must be the one member's.
-                found, leaves = _detect_visits(monkeypatch, inst)
+                found, leaves, prefixes = _record_checks(monkeypatch, inst)
                 answers.add(found)
-                assert len(calls) == 1 and len(leaves) == 1, (n, k, seed)
+                assert len(leaves) == 1 and not prefixes, (n, k, seed)
     assert answers == {True, False}
 
 
@@ -474,92 +467,85 @@ def test_detect_invariant_under_symmetries():
     assert seen == {True, False}
 
 
-def _detect_visits(monkeypatch, inst):
-    """detect_ppm's answer and the leaves it checked, in order.
+def _record_checks(monkeypatch, inst, prefix_check=dp._has_chain):
+    """detect_ppm's answer, the leaves it checked and its prefix checks' results, in order.
 
-    Every check is one dp._has_chain call. A leaf is a call whose buckets
-    cover pattern positions 1..2(k//2); the other calls are prefix checks.
-    The sorted values of a member's first 2j + 2 segments name its first
-    j + 1 anchors uniquely, since the first segment's length fixes the
-    first anchor and so on, so every check's buckets are looked up among
-    the family's; a miss fails the test. A prefix check's shared list
-    must be the sorted text after the prefix's last anchor. For odd k, a
-    leaf's position k must draw from the member's last segment: from its
-    own bucket, or from the chain's shared list, which is then the text
-    after the last anchor, empty when that anchor is n. The counting DP
-    must not run at all.
+    Every check is one dp._has_chain(buckets, order, rest) call with the
+    pattern's inverse as `order`, and every call obeys one rule: its
+    buckets are the sorted first 2(j + 1) segments of some family member,
+    and wherever the chain reads `rest`, it is the sorted text after the
+    last of those j + 1 anchors, or the whole text when there is none.
+    The anchors are read off the bucket lengths: the first segment's
+    length is the first anchor, and each later stretch's length is the
+    step to the next one. A call that breaks the rule fails the test. A
+    call with all k // 2 anchors is a leaf, recorded by its anchors and
+    decided by the real chain; the others are prefix checks, decided by
+    `prefix_check`. The counting DP must not run at all.
     """
     n, k = inst.n, inst.k
     r = k // 2
     sv = inst.sigma.values
-    family = {}
-    prefixes = {}  # sorted values of a member's first 2j + 2 segments -> their last anchor
-    for g in enumerate_guesses(n, k):
-        d = decomposition_of_guess(g, n, k)
-        values = [tuple(sorted(sv[lo - 1:hi])) for lo, hi in d.segments]
-        family[tuple(values[:2 * r])] = d, values[2 * r:]
-        for j in range(r - 1):
-            prefixes[tuple(values[:2 * j + 2])] = g[j]
-    assert len(family) == family_size(n, k)
-    leaves = []
+    pinv = inst.pattern.inverse_values
     real_chain = dp._has_chain
+    leaves, prefixes = [], []
 
-    def chaining(buckets, order, rest=()):
-        if len(buckets) < 2 * r:
-            key = tuple(map(tuple, buckets))
-            assert key in prefixes, "a prefix check ran on no family member's segments"
-            assert list(rest) == sorted(sv[prefixes[key]:])
-        else:
-            key = tuple(map(tuple, buckets[:2 * r]))
-            assert key in family, "a leaf chain ran on no family member's segments"
-            d, last = family[key]
-            if len(buckets) > 2 * r:
-                assert list(map(tuple, buckets[2 * r:])) == last
-            elif k % 2:
-                assert tuple(rest) == (last[0] if d.segments[-2][0] < n else ())
-            leaves.append(d)
-        return real_chain(buckets, order, rest)
+    def recording(buckets, order, rest=()):
+        anchors = tuple(accumulate(map(len, buckets[::2])))
+        last = anchors[-1] if anchors else 0
+        # The closest anchors after the last complete a family member if any
+        # anchors do; where none do, decomposition_of_guess raises.
+        member = anchors + tuple(range(last + 2, last + 2 * (r - len(anchors)) + 1, 2))
+        want = [sorted(sv[lo - 1:hi]) for lo, hi in decomposition_of_guess(member, n, k).segments]
+        assert len(buckets) % 2 == 0 and [list(b) for b in buckets] == want[:len(buckets)], (
+            "a check ran on no family member's first segments"
+        )
+        assert order == pinv
+        assert len(buckets) == k or list(rest) == sorted(sv[last:]), "a chain read the wrong rest"
+        if len(anchors) == r:
+            leaves.append(anchors)
+            return real_chain(buckets, order, rest)
+        kept = prefix_check(buckets, order, rest)
+        prefixes.append(kept)
+        return kept
 
     def refuse(*args):
         raise AssertionError("detect_ppm ran the counting DP")
 
     with monkeypatch.context() as m:
-        m.setattr(dp, "_has_chain", chaining)
+        m.setattr(dp, "_has_chain", recording)
         m.setattr(dp, "count_respecting", refuse)
         m.setattr(dp, "_count_levels", refuse)
         found = detect_ppm(inst)
-    return found, leaves
+    return found, leaves, prefixes
 
 
 def test_detect_prunes_empty_prefixes(monkeypatch):
     n, k = 28, 14
-    family = [decomposition_of_guess(g, n, k) for g in enumerate_guesses(n, k)]
     absent = PpmInstance(random_permutation(n, 28), random_permutation(k, 14))
     assert count_ppm(absent) == 0
-    found, visited = _detect_visits(monkeypatch, absent)
+    found, visited, _ = _record_checks(monkeypatch, absent)
     assert not found
     assert len(visited) < family_size(n, k) // 10
     # Visits follow the family's lexicographic order, skipping members.
-    rest = iter(family)
-    assert all(d in rest for d in visited)
+    rest = enumerate_guesses(n, k)
+    assert all(g in rest for g in visited)
     # A planted pattern stops at the same first nonzero member as a full scan.
     planted, _ = _planted(24, 12, seed=24)
-    found, visited = _detect_visits(monkeypatch, planted)
+    found, visited, _ = _record_checks(monkeypatch, planted)
     first_hit = next(
-        d for d in (decomposition_of_guess(g, 24, 12) for g in enumerate_guesses(24, 12))
-        if dp.count_respecting(planted, d)
+        g for g in enumerate_guesses(24, 12) if dp.count_respecting(planted, decomposition_of_guess(g, 24, 12))
     )
     assert found and visited[-1] == first_hit
 
 
 def test_detect_never_runs_the_counting_dp(monkeypatch):
     # Prefix checks and leaves alike test existence with dp._has_chain;
-    # _detect_visits fails if dp.count_respecting or dp._count_levels runs.
+    # _record_checks fails if dp.count_respecting or dp._count_levels runs.
     absent = PpmInstance(random_permutation(28, 28), random_permutation(14, 14))
     planted, _ = _planted(25, 11, seed=25)
     dense = PpmInstance(_identity(28), _identity(14))
     for inst, want in ((absent, False), (planted, True), (dense, True)):
-        found, leaves = _detect_visits(monkeypatch, inst)
+        found, leaves, _ = _record_checks(monkeypatch, inst)
         assert found is want and leaves
 
 
@@ -582,7 +568,7 @@ def _prefix_corpus():
 
 def test_detect_checks_prefixes_before_leaves(monkeypatch):
     absent = PpmInstance(random_permutation(28, 28), random_permutation(14, 14))
-    found, visited = _detect_visits(monkeypatch, absent)
+    found, visited, _ = _record_checks(monkeypatch, absent)
     assert not found and len(visited) <= 2
     # Member 1 is always the first leaf. Past it, a leaf is reached only
     # through nonempty prefixes of every depth below k//2, and the leaf
@@ -590,35 +576,13 @@ def test_detect_checks_prefixes_before_leaves(monkeypatch):
     later_leaves = zero_leaves = 0
     for inst in _prefix_corpus():
         n, k = inst.n, inst.k
-        _, visited = _detect_visits(monkeypatch, inst)
-        assert visited[0] == decomposition_of_guess(next(enumerate_guesses(n, k)), n, k)
-        for d in visited[1:]:
+        _, visited, _ = _record_checks(monkeypatch, inst)
+        assert visited[0] == next(enumerate_guesses(n, k))
+        for d in (decomposition_of_guess(g, n, k) for g in visited[1:]):
             assert all(_prefix_count(inst, d, j) for j in range(1, k // 2))
             zero_leaves += k % 2 == 0 and dp.count_respecting(inst, d) == 0
         later_leaves += len(visited) - 1
     assert later_leaves > 100 and zero_leaves > 0
-
-
-def _prefix_checks(monkeypatch, inst, check):
-    """detect_ppm's answer with `check` deciding prefixes, the checks made and the prefixes kept.
-
-    Prefix checks are the dp._has_chain calls whose buckets stop short of
-    position 2(k//2); leaves still go to the real chain.
-    """
-    calls = []
-    real_chain = dp._has_chain
-
-    def recording(buckets, order, rest=()):
-        if len(buckets) >= 2 * (inst.k // 2):
-            return real_chain(buckets, order, rest)
-        kept = check(buckets, order, rest)
-        calls.append(kept)
-        return kept
-
-    with monkeypatch.context() as m:
-        m.setattr(dp, "_has_chain", recording)
-        found = detect_ppm(inst)
-    return found, len(calls), sum(calls)
 
 
 def test_detect_prunes_by_the_whole_pattern(monkeypatch):
@@ -637,14 +601,17 @@ def test_detect_prunes_by_the_whole_pattern(monkeypatch):
     def prefix_only(buckets, order, rest):
         return placed_alone(buckets, order)
 
+    def prefix_checks(inst, check):
+        found, _, kept = _record_checks(monkeypatch, inst, check)
+        return found, len(kept), sum(kept)
+
     absent = PpmInstance(random_permutation(28, 28), random_permutation(14, 14))
-    found, checks, kept = _prefix_checks(monkeypatch, absent, fits)
-    assert (found, checks, kept) == (False, 24, 3)
-    assert _prefix_checks(monkeypatch, absent, prefix_only) == (False, 95, 19)
+    assert prefix_checks(absent, fits) == (False, 24, 3)
+    assert prefix_checks(absent, prefix_only) == (False, 95, 19)
     total = total_prefix_only = 0
     for inst in _prefix_corpus():
-        found, checks, kept = _prefix_checks(monkeypatch, inst, fits)
-        found_alone, checks_alone, kept_alone = _prefix_checks(monkeypatch, inst, prefix_only)
+        found, checks, kept = prefix_checks(inst, fits)
+        found_alone, checks_alone, kept_alone = prefix_checks(inst, prefix_only)
         assert found == found_alone and checks <= checks_alone and kept <= kept_alone
         total += kept
         total_prefix_only += kept_alone
@@ -666,12 +633,32 @@ def test_detect_checks_each_leaf_once_in_family_order(monkeypatch):
         cases.append(PpmInstance(random_permutation(n, rng.getrandbits(32)), random_permutation(k, rng.getrandbits(32))))
     for inst in cases:
         n, k = inst.n, inst.k
-        rank = {decomposition_of_guess(g, n, k): i for i, g in enumerate(enumerate_guesses(n, k))}
-        _, visited = _detect_visits(monkeypatch, inst)
-        ranks = [rank[d] for d in visited]
+        rank = {g: i for i, g in enumerate(enumerate_guesses(n, k))}
+        _, visited, _ = _record_checks(monkeypatch, inst)
+        ranks = [rank[g] for g in visited]
         assert ranks == sorted(set(ranks))
         if inst.sigma == _identity(n):
             assert len(visited) == family_size(n, k)
+
+
+def test_cli_detect_charge_bounds_the_search(monkeypatch):
+    # cli._detect_chains charges `detect --algo fast` for the search's shape
+    # before it runs, so the search must make no more checks than that.
+    rng = random.Random(66)
+    for _ in range(60):
+        n = rng.randint(2, 18)
+        k = rng.randint(1, n)
+        pattern = random_permutation(k, rng.getrandbits(32))
+        for sigma in (random_permutation(n, rng.getrandbits(32)), _identity(n)):
+            _, leaves, prefixes = _record_checks(monkeypatch, PpmInstance(sigma, pattern))
+            assert len(leaves) + len(prefixes) <= cli._detect_chains(n, k), (sigma, pattern)
+    # An identity text against a pattern ending in a descent keeps every
+    # prefix and fails every leaf: there the charge is exact.
+    for n in range(4, 25):
+        for k in range(4, n + 1, 2):
+            inst = PpmInstance(_identity(n), Permutation(tuple(range(1, k - 1)) + (k, k - 1)))
+            _, leaves, prefixes = _record_checks(monkeypatch, inst)
+            assert len(leaves) + len(prefixes) == cli._detect_chains(n, k), (n, k)
 
 
 def test_detect_matches_count_past_oracle():

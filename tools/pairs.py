@@ -11,7 +11,8 @@ i. Each run prints one line as it ends. Then, per (workload, metric), the
 summary gives each side's median and quartiles, the change/base ratio of
 the medians and how many pairs the change won; ties count for neither
 side. A metric is better when lower unless BENCHMARK.json says "higher".
-The exit status is 1 if any run failed or reported ``correct: false``.
+The exit status is 1 if any run failed, ran past 180 s or reported
+``correct: false``.
 """
 
 from __future__ import annotations
@@ -28,13 +29,21 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SECONDS = 25
+RUN_TIMEOUT_S = 180  # a hung run counts as failed instead of hanging the tool
 
 
 def run_once(tree: Path, workload: str, seed: int) -> dict:
-    """The JSON result of one untraced run in `tree`, or ``{"correct": False}`` if it printed none."""
+    """The JSON result of one untraced run in `tree`.
+
+    ``{"correct": False}`` if it printed none or ran past RUN_TIMEOUT_S.
+    """
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(SECONDS), "--trace", "0"]
-    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
+    try:
+        proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, timeout=RUN_TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        sys.stderr.write(f"{workload} seed {seed} in {tree} ran past {RUN_TIMEOUT_S} s\n")
+        return {"correct": False}
     lines = proc.stdout.splitlines()
     if proc.returncode or not lines:
         sys.stderr.write(proc.stderr)
