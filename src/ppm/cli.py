@@ -6,8 +6,11 @@ diagnostics to stderr, one line each.
 
 Every flag and its default is declared once, in `build_parser`, which
 binds each subcommand to its `cmd_*` function; the commands read the
-argparse namespace. `_validate_config` makes the range and budget checks
-argparse cannot express, before any work.
+argparse namespace. `_validate_config` makes the range checks argparse
+cannot express. `_check_family` is the one size check, made before any
+work: a run is refused when its decompositions * (n + k) exceed WORK_MAX,
+`detect --algo fast` being charged the chains its search can run, and
+brute force past its cap on n.
 """
 
 from __future__ import annotations
@@ -38,21 +41,15 @@ GEN_MAX_N = 10**6
 # prints. A line of 1..N holds N - 1 spaces, a newline and, per digit
 # place d, one digit for each value of at least d + 1 digits.
 FILE_MAX_BYTES = 2 * (GEN_MAX_N + sum(GEN_MAX_N - 10**d + 1 for d in range(len(str(GEN_MAX_N)))))
-# Most decompositions count, detect and bench may face; `detect --algo fast`
-# is charged the greedy chains it can run instead. One confined count
-# took 10-16 us on random and 28-47 us on identity texts at n = 56-60,
-# k = n/2 (2 vCPU, Python 3.11), where binom(n//2, k//2) reaches this size:
-# the largest admitted run takes at most about 7 * 10**7 * 50 us, an hour.
-FAMILY_MAX = 7 * 10**7
-# One confined count is linear in n + k, so the same hour also caps the
-# run's work, decompositions * (n + k), at FAMILY_MAX * 84: the (56, 28)
-# run, the largest admitted one, at about 50 us / 84 = 0.6 us per unit.
-# The rate holds at n = 10**6, k = 2, where one count took 0.42-0.98 s,
-# 0.4-1 us per unit; its 5 * 10**5 members are refused by this cap alone.
-# A chain is cheaper: 721,800 of them took 222 s at n = 2402, k = 2400,
-# 0.06 us per unit, so the largest deep-k detection the cap admits
-# (n = 2864) should take about 6 minutes by its n^3 growth.
-WORK_SPAN = 84
+# Most work count, detect and bench may face, in units of decompositions
+# * (n + k): one confined count and one greedy chain are each linear in
+# n + k, and `detect --algo fast` is charged its chains. A count took about
+# 0.6 us per unit (28-47 us each on identity texts at n = 56-60, k = n/2, and
+# 0.4-1 us per unit at n = 10**6, k = 2), so a count at the cap takes about
+# an hour. A chain took about 0.06 us per unit (721,800 of them took 222 s at
+# n = 2402, k = 2400), so the largest deep-k detection admitted, n = 2864,
+# should take about 6 minutes. Measured on 2 vCPUs under Python 3.11.
+WORK_MAX = 5_880_000_000
 # Most `bench --reps`: enough for a median, and each rep reruns the whole count.
 REPS_MAX = 100
 
@@ -121,14 +118,14 @@ def _count_with(algorithm: str, instance: PpmInstance) -> int:
 
 
 def _decomposition_bound(algorithm: str, n: int, k: int) -> int:
-    """Decompositions the algorithm faces, or FAMILY_MAX + 1 once past the budget."""
+    """Decompositions the algorithm faces, or WORK_MAX // (n + k) + 1 once past the budget."""
     if algorithm == "brute":
         return 0
-    return _comb_past(n // 2 if algorithm == "fast" else n, k // 2, FAMILY_MAX)
+    return _comb_past(n // 2 if algorithm == "fast" else n, k // 2, WORK_MAX // (n + k))
 
 
 def _detect_chains(n: int, k: int) -> int:
-    """Greedy chains `detect --algo fast` can run, or FAMILY_MAX + 1 once past the budget.
+    """Greedy chains `detect --algo fast` can run, or WORK_MAX // (n + k) + 1 once past the budget.
 
     The search checks each anchor prefix at most once, and depth j holds
     binom(n//2 - k//2 + j, j) of them, so depths 1..k//2 sum (hockey stick)
@@ -140,7 +137,7 @@ def _detect_chains(n: int, k: int) -> int:
     r = k // 2
     if r in (0, n // 2):
         return 1
-    return _comb_past(n // 2 + 1, r, FAMILY_MAX + 1) - 1
+    return _comb_past(n // 2 + 1, r, WORK_MAX // (n + k) + 1) - 1
 
 
 def _comb_past(m: int, j: int, limit: int) -> int:
@@ -159,18 +156,19 @@ def _comb_past(m: int, j: int, limit: int) -> int:
 
 
 def _check_family(command: str, algorithm: str, n: int, k: int) -> None:
-    """Refuse a run past the budgets: detect --algo fast is charged its chains."""
+    """Refuse a run whose work, decompositions * (n + k), is over WORK_MAX.
+
+    `detect --algo fast` is charged its chains in place of decompositions.
+    Brute force faces none, and its own cap on n refuses it instead.
+    """
+    if algorithm == "brute":
+        oracle._check_cap(n, oracle.DEFAULT_MAX_N)
     if (command, algorithm) == ("detect", "fast"):
         size = _detect_chains(n, k)
     else:
         size = _decomposition_bound(algorithm, n, k)
-    if size > FAMILY_MAX:
-        raise PpmError(f"--algo {algorithm} on n={n} k={k} faces over {FAMILY_MAX} decompositions")
-    if size * (n + k) > FAMILY_MAX * WORK_SPAN:
-        raise PpmError(
-            f"--algo {algorithm} on n={n} k={k} faces decompositions * (n + k) ="
-            f" {size * (n + k)}, over {FAMILY_MAX * WORK_SPAN}"
-        )
+    if size * (n + k) > WORK_MAX:
+        raise PpmError(f"--algo {algorithm} on n={n} k={k} faces decompositions * (n + k) over {WORK_MAX}")
 
 
 def _load_instance(args: argparse.Namespace) -> PpmInstance:
@@ -275,7 +273,7 @@ def _validate_config(args: argparse.Namespace) -> None:
 
     Replaces the --pairs text with its (n, k) tuples. Pair syntax is
     checked first, then threads, seed, n, max-n and reps, then each pair's
-    range and budgets, so an invocation with several faults always
+    range and size, so an invocation with several faults always
     reports the same one, and every pair is checked before bench prints.
     """
     if "pairs" in args:
@@ -293,6 +291,4 @@ def _validate_config(args: argparse.Namespace) -> None:
     for n, k in getattr(args, "pairs", ()):
         if not 1 <= k <= n:
             raise PpmError(f"bad pair n={n} k={k}, need 1 <= k <= n")
-        if args.algo == "brute":
-            oracle._check_cap(n, oracle.DEFAULT_MAX_N)
         _check_family(args.command, args.algo, n, k)

@@ -159,7 +159,12 @@ def _has_chain(
     `rest` above the previous one with one bisect, so a check makes
     O(len(buckets)) bisects. The gap counter saves bisects, not steps: the
     loop still runs once per position of `order`, so a check costs
-    O(len(order)) interpreted steps whatever the number of buckets.
+    O(len(order)) interpreted steps whatever the number of buckets. It
+    stays for speed: a chain with one bisect per position is 8 lines
+    shorter and gives the same answers, but detection with it took
+    1.18-1.38x as long on the benchmark's random instances and 1.06-1.54x
+    on its planted ones (dense and small flat), over 3 alternating 2 s
+    rounds in process on the seed-3 instances.
     """
     m = len(buckets)
     prev = gap = 0

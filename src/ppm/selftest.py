@@ -16,6 +16,7 @@ check holds at every anchor prefix of a member with a nonzero count.
 from __future__ import annotations
 
 import random
+import traceback
 from itertools import chain, combinations, permutations
 from math import comb
 from typing import Callable, Iterable, Iterator
@@ -264,13 +265,16 @@ SUITES: list[tuple[str, Callable[[int], str]]] = [
 def run_suites(max_n: int) -> list[tuple[str, bool, str]]:
     """Run every suite; returns (name, passed, detail) per suite.
 
-    `max_n` must lie in [1, MAX_N]; outside it some suites cannot run.
+    `max_n` must lie in [1, MAX_N]; outside it some suites cannot run. A
+    suite that raises fails, its detail naming the exception and the
+    function, file and line that raised it.
     """
     results = []
     for name, fn in SUITES:
         try:
             detail = fn(max_n)
         except Exception as exc:  # a crash is a failure, not an abort
-            detail = f"raised {type(exc).__name__}: {exc}"
+            where = traceback.extract_tb(exc.__traceback__)[-1]
+            detail = f"raised {type(exc).__name__}: {exc} (in {where.name}, {where.filename}:{where.lineno})"
         results.append((name, not detail, detail))
     return results

@@ -31,7 +31,11 @@ the j-th anchor. One ``dp._has_chain`` call decides whether the whole
 pattern can be placed that way. When a prefix fails, no member sharing
 it holds an occurrence, so the search skips all of them and the answer
 stays exact; at the last anchor the same call decides a whole member,
-with the text after the anchor as the last segment for odd k.
+with the text after the anchor as the last segment for odd k. At even n
+and odd k the search never steps an anchor to n: a member whose last
+anchor is n gives positions k - 1 and k the one text position n, so none
+holds an occurrence, and the rest of the family is the anchor family of
+(n - 1, k).
 The sorted segment values of a prefix are built once and shared by every
 member below it, and none is sorted afresh: a window is one text pair,
 put in order by one comparison, and moving an anchor two places right
@@ -40,9 +44,9 @@ sorted text after the anchor being stepped is one list, which a step
 shrinks by those two values and a backtrack rebuilds from the parent's
 anchor, so the search keeps O(n) memory at any depth.
 Pruning depends on the instance; where no prefix fails the search still
-reaches all binom(n//2, k//2) members and checks up to k//2 prefixes on
-the way to each, at O(n log n) a check, so detection's worst case is
-O(k n log n * 2^(n/2)) time, still with O(n) memory.
+reaches all its binom((n - k%2)//2, k//2) members and checks up to k//2
+prefixes on the way to each, at O(n log n) a check, so detection's worst
+case is O(k n log n * 2^(n/2)) time, still with O(n) memory.
 """
 
 from __future__ import annotations
@@ -166,8 +170,9 @@ def detect_ppm(instance: PpmInstance) -> bool:
     the first member that holds an occurrence, deciding member 1 before
     the search. Keeps O(n) memory and its own stack rather than recursing,
     since k//2 may exceed Python's recursion limit. Where no prefix fails
-    it still reaches all binom(n//2, k//2) members and checks up to k//2
-    prefixes on the way to each, O(k n log n * 2^(n/2)) in all.
+    it still reaches all binom((n - k%2)//2, k//2) members that can hold an
+    occurrence and checks up to k//2 prefixes on the way to each,
+    O(k n log n * 2^(n/2)) in all.
     """
     n, k = instance.n, instance.k
     r = k // 2
@@ -180,9 +185,13 @@ def detect_ppm(instance: PpmInstance) -> bool:
         member1.append([sv[n - 1]])
     if dp._has_chain(member1, pinv, sorted(sv[2 * r:]) if k % 2 else ()):
         return True
-    if r == n // 2:  # member 1 is the whole family; k = 1 was decided by it above
+    # At k >= n - 1 member 1 is the whole family, or every other member has
+    # its last anchor at n, where no occurrence fits.
+    if k >= n - 1:
         return False
-    last = 2 * (n // 2 - r)  # anchor j (0-based) runs up to last + 2 * (j + 1)
+    # Anchor j (0-based) runs up to last + 2 * (j + 1); at even n and odd k
+    # it stops short of n, for the same reason.
+    last = 2 * ((n - k % 2) // 2 - r)
     rest = sorted(sv)  # sorted text values after the anchor being stepped
     anchors = [0]  # the kept prefix a1..aj, then anchor j being stepped
     # Sorted values on the segments a1..aj fix, then anchor j's stretch.

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import ppm
-from ppm import cli, dp, selftest, solver
+from ppm import cli, dp, oracle, selftest, solver
 from ppm.core import format_permutation, parse_permutation
 from ppm.rng import random_permutation
 
@@ -390,11 +390,13 @@ def test_selftest_reports_a_crashing_suite(capsys, monkeypatch):
 
     monkeypatch.setattr(selftest, "random_permutation", crash)
     results = {name: (ok, detail) for name, ok, detail in selftest.run_suites(1)}
-    assert results["parse-roundtrip"] == (False, "raised RuntimeError: planted")
+    ok, detail = results["parse-roundtrip"]
+    assert not ok and detail.startswith("raised RuntimeError: planted (in crash, ")
+    assert detail.endswith(f"{__file__}:{crash.__code__.co_firstlineno + 1})")
     code, out, err = run_cli(capsys, "selftest", "--max-n", "1")
     assert code == 1
     assert "parse-roundtrip: fail" in out.splitlines()
-    assert "  raised RuntimeError: planted\n" in err
+    assert f"  {detail}\n" in err
 
 
 # -- defaults -----------------------------------------------------------------------------
@@ -479,45 +481,102 @@ def test_bench_times_grow_with_n(capsys):
     assert medians[0] < medians[1] < medians[2]
 
 
-# -- family budget ------------------------------------------------------------------------
+# -- work budget --------------------------------------------------------------------------
 
 
-def test_family_budget_refuses_n200_pair(tmp_path, capsys):
+def _budget_message(algo, n, k):
+    return f"ppm: --algo {algo} on n={n} k={k} faces decompositions * (n + k) over 5880000000\n"
+
+
+def test_family_budget_refuses_n200_pair(tmp_path, capsys, monkeypatch):
     # Without the budget each of these runs until killed.
     inst = tmp_path / "instance.txt"
     inst.write_text(
         f"{format_permutation(random_permutation(200, 1))}\n{format_permutation(random_permutation(100, 2))}\n"
     )
     files = ("--sigma-file", str(inst), "--pattern-file", str(inst))
+
+    def no_search(*_args):
+        raise AssertionError("a search started")
+
+    monkeypatch.setattr(cli, "_count_with", no_search)
+    monkeypatch.setattr(solver, "detect_ppm", no_search)
     for cmd, algo in (("count", "fast"), ("count", "bkm"), ("detect", "fast"), ("detect", "bkm")):
         code, out, err = run_cli(capsys, cmd, "--algo", algo, *files)
         assert (code, out) == (2, "")
-        assert err == f"ppm: --algo {algo} on n=200 k=100 faces over {cli.FAMILY_MAX} decompositions\n"
+        assert err == _budget_message(algo, 200, 100)
     # No bench pair starts, and no header is printed, when any pair is over.
     assert run_cli(capsys, "bench", "--pairs", "8:4,200:100")[:2] == (2, "")
     # The full binomial at the largest gen size takes seconds; the bound stops past the budget.
-    assert cli._decomposition_bound("bkm", cli.GEN_MAX_N, cli.GEN_MAX_N // 2) == cli.FAMILY_MAX + 1
+    n, k = cli.GEN_MAX_N, cli.GEN_MAX_N // 2
+    assert cli._decomposition_bound("bkm", n, k) == cli.WORK_MAX // (n + k) + 1
 
 
 def test_family_budget_boundary(capsys, monkeypatch):
     # The largest admitted k = n/2 pair and the next one, through the validator:
     # a real run at the budget takes about an hour.
-    assert comb(28, 14) <= cli.FAMILY_MAX < comb(29, 14)
+    assert comb(28, 14) * (56 + 28) <= cli.WORK_MAX < comb(29, 14) * (58 + 29)
     validate("bench", "--pairs", "56:28")
     with pytest.raises(ppm.PpmError):
         validate("bench", "--pairs", "58:29")
-    # A family exactly at the budget runs; one member more is refused.
+    # A run exactly at the budget runs; one unit less refuses it.
     instance = ("--sigma", "3 2 5 4 1", "--pattern", "1 3 2")
     for algo, size in (("fast", comb(2, 1)), ("bkm", comb(5, 1)), ("brute", 0)):
-        monkeypatch.setattr(cli, "FAMILY_MAX", size)
+        monkeypatch.setattr(cli, "WORK_MAX", size * (5 + 3))
         assert run_cli(capsys, "count", "--algo", algo, *instance)[:2] == (0, "2\n")
         assert run_cli(capsys, "detect", "--algo", algo, *instance)[:2] == (0, "true\n")
         assert run_cli(capsys, "bench", "--algo", algo, "--pairs", "5:3", "--reps", "1")[0] == 0
         if size:
-            monkeypatch.setattr(cli, "FAMILY_MAX", size - 1)
+            monkeypatch.setattr(cli, "WORK_MAX", size * (5 + 3) - 1)
             assert run_cli(capsys, "count", "--algo", algo, *instance)[0] == 2
             assert run_cli(capsys, "detect", "--algo", algo, *instance)[0] == 2
             assert run_cli(capsys, "bench", "--algo", algo, "--pairs", "5:3", "--reps", "1")[0] == 2
+
+
+def _parent_refuses(command, algo, n, k):
+    """The rule the CLI kept before its one work budget, with exact binomials.
+
+    Two caps: over 7 * 10**7 decompositions, or decompositions * (n + k)
+    over 5.88 * 10**9; brute force past its cap on n instead.
+    """
+    if algo == "brute":
+        return n > oracle.DEFAULT_MAX_N
+    if (command, algo) == ("detect", "fast"):
+        r = k // 2
+        size = 1 if r in (0, n // 2) else comb(n // 2 + 1, r) - 1
+    else:
+        size = comb(n // 2 if algo == "fast" else n, k // 2)
+    return size > 7 * 10**7 or size * (n + k) > 5_880_000_000
+
+
+def _refuses(command, algo, n, k):
+    try:
+        cli._check_family(command, algo, n, k)
+    except ppm.PpmError:
+        return True
+    return False
+
+
+def test_one_work_budget_refuses_what_two_caps_did():
+    # The decomposition cap alone refused a run only where n + k < 84: never
+    # for --algo fast, and for bkm on 22 pairs whose binom(n, k//2) over-counts
+    # its guesses, which the work budget admits.
+    differ = {algo: set() for algo in ("fast", "bkm", "brute")}
+    for n in range(1, 90):
+        for k in range(1, n + 1):
+            for command in ("count", "bench", "detect"):
+                for algo in differ:
+                    if _refuses(command, algo, n, k) != _parent_refuses(command, algo, n, k):
+                        differ[algo].add((command, n, k))
+    assert differ["fast"] == differ["brute"] == set()
+    bkm_admitted = {
+        (n, k)
+        for n in range(1, 90)
+        for k in range(1, n + 1)
+        if comb(n, k // 2) > 7 * 10**7 and comb(n, k // 2) * (n + k) <= 5_880_000_000
+    }
+    assert len(bkm_admitted) == 22
+    assert differ["bkm"] == {(command, n, k) for command in ("count", "bench", "detect") for n, k in bkm_admitted}
 
 
 def _deep_detect_args(n):
@@ -540,13 +599,10 @@ def test_detect_budget_charges_its_chains(capsys, monkeypatch):
     monkeypatch.setattr(solver, "detect_ppm", no_search)
     code, out, err = run_cli(capsys, *_deep_detect_args(3000))
     assert (code, out) == (2, "")
-    assert err == (
-        "ppm: --algo fast on n=3000 k=2998 faces decompositions * (n + k) ="
-        f" {(comb(1501, 1499) - 1) * 5998}, over {cli.FAMILY_MAX * cli.WORK_SPAN}\n"
-    )
-    # At k = n/2 the chains pass the family budget one pair sooner than count's members.
+    assert err == _budget_message("fast", 3000, 2998)
+    # At k = n/2 the chains pass the budget one pair sooner than count's members.
     cli._check_family("detect", "fast", 54, 27)
-    with pytest.raises(ppm.PpmError, match=f"over {cli.FAMILY_MAX} decompositions"):
+    with pytest.raises(ppm.PpmError, match=r"faces decompositions \* \(n \+ k\) over 5880000000$"):
         cli._check_family("detect", "fast", 56, 28)
     cli._check_family("count", "fast", 56, 28)
     # A one-member family, or k = 1, is one chain, however long the text.
@@ -555,22 +611,19 @@ def test_detect_budget_charges_its_chains(capsys, monkeypatch):
 
 
 def test_work_budget_refuses_long_text_tiny_pattern(capsys, monkeypatch):
-    # 5 * 10**5 members of n + k = 10**6 + 2 each: days of work under the family budget.
+    # 5 * 10**5 members of n + k = 10**6 + 2 each: days of work.
     def no_draw(*_args):
         raise AssertionError("an instance was drawn")
 
     monkeypatch.setattr(cli, "random_permutation", no_draw)
     with pytest.raises(ppm.PpmError):
         validate("bench", "--pairs", "1000000:2")
-    # The largest run the family budget admits is within the work budget too.
-    assert comb(28, 14) * (56 + 28) <= cli.FAMILY_MAX * cli.WORK_SPAN
+    # Far fewer members than the largest admitted k = n/2 run, far more work.
+    assert 5 * 10**5 < comb(28, 14) and 5 * 10**5 * (10**6 + 2) > cli.WORK_MAX
     validate("bench", "--pairs", "56:28")
     code, out, err = run_cli(capsys, "bench", "--pairs", "1000000:2")
     assert (code, out) == (2, "")
-    assert err == (
-        "ppm: --algo fast on n=1000000 k=2 faces decompositions * (n + k) ="
-        f" {5 * 10**5 * (10**6 + 2)}, over {cli.FAMILY_MAX * cli.WORK_SPAN}\n"
-    )
+    assert err == _budget_message("fast", 1000000, 2)
 
 
 # -- end to end through a real process ----------------------------------------------------

@@ -8,6 +8,8 @@ Claims checked here:
     - a metric missing from one side of a pair leaves that pair out
     - any run with correct false, or no result, fails the whole set
     - a run past its timeout counts as incorrect, so the set exits 1
+    - a workload BENCHMARK.json does not list is refused before the base
+      is extracted or any run starts
 No benchmark run is launched.
 """
 
@@ -76,3 +78,16 @@ def test_a_run_past_its_timeout_fails_the_set(monkeypatch, tmp_path, capsys):
     assert pairs.main(["--base", "HEAD", "--workloads", "small", "--pairs", "1"]) == 1
     assert timeouts == [pairs.RUN_TIMEOUT_S] * 3 and pairs.RUN_TIMEOUT_S == 180
     assert "ran past 180 s" in capsys.readouterr().err
+
+
+def test_an_unlisted_workload_is_refused_before_any_run(monkeypatch, capsys):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(pairs, "_extract", no_work)
+    monkeypatch.setattr(pairs, "run_once", no_work)
+    with pytest.raises(SystemExit) as exc:
+        pairs.main(["--base", "HEAD", "--workloads", "random,dnese", "--pairs", "1"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "unknown workload dnese; BENCHMARK.json lists random, planted, dense, small" in err

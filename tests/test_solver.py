@@ -24,7 +24,9 @@ Claims checked here:
       one chain and never runs the counting DP
     - it makes no more chains than cli._detect_chains charges, and
       exactly that many on an identity text against a pattern ending in
-      a descent (even k, n <= 24)
+      a descent (even k, n <= 24); at even n and odd k it skips the
+      members whose last anchor is n, which hold no occurrence, and makes
+      the charge of (n - 1, k) on that text (n <= 24)
     - its prefix check places the whole pattern, the later positions right
       of the prefix: it keeps only prefixes whose own positions chain, and
       strictly fewer than a check of those positions alone
@@ -659,6 +661,21 @@ def test_cli_detect_charge_bounds_the_search(monkeypatch):
             inst = PpmInstance(_identity(n), Permutation(tuple(range(1, k - 1)) + (k, k - 1)))
             _, leaves, prefixes = _record_checks(monkeypatch, inst)
             assert len(leaves) + len(prefixes) == cli._detect_chains(n, k), (n, k)
+
+
+def test_detect_skips_members_with_an_anchor_at_n(monkeypatch):
+    # At even n and odd k a member whose last anchor is n gives positions
+    # k - 1 and k the one text position n, so it holds no occurrence, and the
+    # search leaves those members out: what remains is the (n - 1, k) family.
+    # The same identity text against a pattern ending in a descent reaches
+    # every prefix of it, so the search makes the charge of (n - 1, k).
+    for n in range(4, 25, 2):
+        for k in range(3, n, 2):
+            inst = PpmInstance(_identity(n), Permutation(tuple(range(1, k - 1)) + (k, k - 1)))
+            found, leaves, prefixes = _record_checks(monkeypatch, inst)
+            assert not found
+            assert len(leaves) + len(prefixes) == cli._detect_chains(n - 1, k), (n, k)
+            assert all(anchors[-1] < n for anchors in leaves), (n, k)
 
 
 def test_detect_matches_count_past_oracle():

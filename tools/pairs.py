@@ -7,10 +7,11 @@ with ``git archive`` into a temporary directory, which is removed at the
 end; no worktree is made and ``.git`` is only read. Pair i runs
 ``perfbench/run.py --seed S+i --seconds 25 --trace 0`` once in each tree
 for every workload, the base first on even i and the change first on odd
-i. Each run prints one line as it ends. Then, per (workload, metric), the
-summary gives each side's median and quartiles, the change/base ratio of
-the medians and how many pairs the change won; ties count for neither
-side. A metric is better when lower unless BENCHMARK.json says "higher".
+i. A workload that BENCHMARK.json does not list is refused before any
+run. Each run prints one line as it ends. Then, per (workload, metric),
+the summary gives each side's median and quartiles, the change/base
+ratio of the medians and how many pairs the change won; ties count for
+neither side. A metric is better when lower unless BENCHMARK.json says "higher".
 The exit status is 1 if any run failed, ran past 180 s or reported
 ``correct: false``.
 """
@@ -115,6 +116,10 @@ def main(argv: list[str] | None = None) -> int:
     if args.pairs < 1 or args.first_seed < 0 or not workloads:
         parser.error("need --pairs >= 1, --first-seed >= 0 and at least one workload")
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    known = [w["name"] for w in spec["workloads"]]
+    unknown = [w for w in workloads if w not in known]
+    if unknown:
+        parser.error(f"unknown workload {', '.join(unknown)}; BENCHMARK.json lists {', '.join(known)}")
     higher = frozenset(m["name"] for m in spec.get("end_to_end", []) if m.get("better") == "higher")
 
     results: dict[str, list[tuple[dict, dict]]] = {w: [] for w in workloads}
