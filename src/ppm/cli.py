@@ -127,17 +127,19 @@ def _decomposition_bound(algorithm: str, n: int, k: int) -> int:
 def _detect_chains(n: int, k: int) -> int:
     """Greedy chains `detect --algo fast` can run, or WORK_MAX // (n + k) + 1 once past the budget.
 
-    The search checks each anchor prefix at most once, and depth j holds
-    binom(n//2 - k//2 + j, j) of them, so depths 1..k//2 sum (hockey stick)
-    to binom(n//2 + 1, k//2) - 1; member 1's leaf is skipped, its chain
-    runs first. An identity text against a pattern ending in a descent
-    reaches every prefix. When member 1 is the whole family (k//2 = n//2)
-    or k = 1, its one chain is all.
+    The search walks the live family, that of (m, k) with
+    m = solver._live_n(n, k). It checks each anchor prefix at most once,
+    and depth j holds binom(m//2 - k//2 + j, j) of them, so depths
+    1..k//2 sum (hockey stick) to binom(m//2 + 1, k//2) - 1; member 1's
+    leaf is skipped, its chain runs first. An identity text against a
+    pattern ending in a descent reaches every prefix. When member 1 is
+    the whole live family (k//2 = m//2) or k = 1, its one chain is all.
     """
     r = k // 2
-    if r in (0, n // 2):
+    half = solver._live_n(n, k) // 2
+    if r in (0, half):
         return 1
-    return _comb_past(n // 2 + 1, r, WORK_MAX // (n + k) + 1) - 1
+    return _comb_past(half + 1, r, WORK_MAX // (n + k) + 1) - 1
 
 
 def _comb_past(m: int, j: int, limit: int) -> int:

@@ -3,14 +3,15 @@
 Each check takes its corpus and returns a failure detail, "" meaning pass;
 none relies on `assert`, so all hold under `python -O`. They cover route
 agreement (count, bkm, brute force and detect), the exactly-once canonical
-cover, and the sizes of the anchor and lower-bound families. `run_suites`
-runs them beside five single-module suites on small corpora scaled by
-`max_n`; the acceptance gate runs them on its pinned corpora. The corpus
-builders draw the same instances wherever they are used. The
-`dp-matches-enumeration` suite also states the invariants detection
-rests on: the greedy chain over a member's sorted segment values holds
-exactly when the member's confined count is nonzero, and the prefix
-check holds at every anchor prefix of a member with a nonzero count.
+cover by a live member, and the sizes of the anchor and lower-bound
+families. `run_suites` runs them beside five single-module suites on small
+corpora scaled by `max_n`; the acceptance gate runs them on its pinned
+corpora. The corpus builders draw the same instances wherever they are
+used. The `dp-matches-enumeration` suite also states the invariants
+detection rests on: the greedy chain over a member's sorted segment
+values holds exactly when the member's confined count is nonzero, and
+the prefix check holds at every anchor prefix of a member with a nonzero
+count.
 """
 
 from __future__ import annotations
@@ -129,7 +130,12 @@ def check_routes_agree(instances: Iterable[PpmInstance]) -> str:
 
 
 def check_unique_cover(instances: Iterable[PpmInstance]) -> str:
-    """Each occurrence respects exactly one family member, its canonical decomposition."""
+    """Each occurrence respects exactly one family member, its canonical decomposition.
+
+    That member is live: its anchors lie in the family of
+    (``solver._live_n(n, k)``, k), so no occurrence respects the dead
+    members that counting and detection skip.
+    """
     families: dict[tuple[int, int], list[SegmentDecomposition]] = {}
     for inst in instances:
         n, k = inst.n, inst.k
@@ -144,6 +150,8 @@ def check_unique_cover(instances: Iterable[PpmInstance]) -> str:
                 return f"{len(hits)} members cover f={f.values} on {_where(inst)}"
             if hits[0] != solver.canonical_decomposition(f, n):
                 return f"cover of f={f.values} is not canonical on {_where(inst)}"
+            if any(a > solver._live_n(n, k) for a, _ in hits[0].segments[1::2]):
+                return f"dead member covers f={f.values} on {_where(inst)}"
     return ""
 
 

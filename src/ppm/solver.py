@@ -16,13 +16,18 @@ count costs O(n) DP steps plus at most an O(n log n) C-level sort, which
 gives the O*(2^(n/2)) total with O(n) memory: the family is streamed,
 never materialized.
 
-Counting is the family sum as it stands: it streams the members from
+Not every member can hold an occurrence: at even n and odd k those whose
+last anchor is n cannot, for the reason :func:`_live_n` gives. Both
+routes walk only the live members, the anchor family of
+(``_live_n(n, k)``, k) with segments still built for n.
+
+Counting sums the live family: it streams the live members from
 :func:`enumerate_guesses` and adds up their confined counts. Detection
 needs only whether some member holds an occurrence, which
 ``dp._has_chain`` decides with one bisect per pattern position and no DP.
 It decides member 1 first, whose segments are the text pairs (1, 2),
 (2, 3), ...; for odd k, position k draws from the sorted text after its
-anchors, as at every leaf of the search. Then it searches the same
+anchors, as at every leaf of the search. Then it searches the live
 family in the same order, depth first over the anchors, and prunes it
 by anchor prefix: the first 2j segments of a member depend only on its
 first j anchors, and an occurrence confined to the member places pattern
@@ -31,11 +36,7 @@ the j-th anchor. One ``dp._has_chain`` call decides whether the whole
 pattern can be placed that way. When a prefix fails, no member sharing
 it holds an occurrence, so the search skips all of them and the answer
 stays exact; at the last anchor the same call decides a whole member,
-with the text after the anchor as the last segment for odd k. At even n
-and odd k the search never steps an anchor to n: a member whose last
-anchor is n gives positions k - 1 and k the one text position n, so none
-holds an occurrence, and the rest of the family is the anchor family of
-(n - 1, k).
+with the text after the anchor as the last segment for odd k.
 The sorted segment values of a prefix are built once and shared by every
 member below it, and none is sorted afresh: a window is one text pair,
 put in order by one comparison, and moving an anchor two places right
@@ -44,7 +45,7 @@ sorted text after the anchor being stepped is one list, which a step
 shrinks by those two values and a backtrack rebuilds from the parent's
 anchor, so the search keeps O(n) memory at any depth.
 Pruning depends on the instance; where no prefix fails the search still
-reaches all its binom((n - k%2)//2, k//2) members and checks up to k//2
+reaches all its binom(_live_n(n, k)//2, k//2) members and checks up to k//2
 prefixes on the way to each, at O(n log n) a check, so detection's worst
 case is O(k n log n * 2^(n/2)) time, still with O(n) memory.
 """
@@ -117,6 +118,19 @@ def _segments(anchors: Sequence[int], n: int, k: int) -> tuple[tuple[int, int], 
     return tuple(segs)
 
 
+def _live_n(n: int, k: int) -> int:
+    """The text length whose anchor family is the live members of (n, k).
+
+    At even n and odd k a member whose last anchor is n gives positions
+    k - 1 and k the one text position n, so no occurrence respects it.
+    Its other members, the live ones, are exactly the anchor family of
+    (n - 1, k), with segments still built for n; there are
+    binom(n/2 - 1, k//2 - 1) dead ones. At every other parity all members
+    are live.
+    """
+    return n - 1 if k % 2 and n % 2 == 0 else n
+
+
 def enumerate_guesses(n: int, k: int) -> Iterator[tuple[int, ...]]:
     """Stream every anchor tuple in lexicographic order.
 
@@ -147,17 +161,19 @@ def canonical_decomposition(f: Embedding, n: int) -> SegmentDecomposition:
 def count_ppm(instance: PpmInstance, threads: int = 1) -> int:
     """Total number of occurrences of the pattern in the text.
 
-    Sums the confined counts over the whole anchor family, streamed by
-    :func:`enumerate_guesses`, with one ``dp.count_respecting`` call per
-    member, in family order. `threads` is kept for compatibility: it must
-    be at least 1 and is otherwise ignored, since the pure-Python counter
-    holds the GIL and threads only slowed it down.
+    Sums the confined counts over the live anchor family, streamed by
+    :func:`enumerate_guesses` on (``_live_n(n, k)``, k), with one
+    ``dp.count_respecting`` call per member, in family order; at even n
+    and odd k it skips the members whose last anchor is n. `threads` is
+    kept for compatibility: it must be at least 1 and is otherwise
+    ignored, since the pure-Python counter holds the GIL and threads only
+    slowed it down.
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
     n, k = instance.n, instance.k
     total = 0
-    for anchors in enumerate_guesses(n, k):
+    for anchors in enumerate_guesses(_live_n(n, k), k):
         total += dp.count_respecting(instance, SegmentDecomposition(_segments(anchors, n, k), n))
     return total
 
@@ -166,12 +182,12 @@ def detect_ppm(instance: PpmInstance) -> bool:
     """Whether the pattern occurs at all.
 
     Exact: True exactly when :func:`count_ppm` is nonzero. Searches the
-    anchor family in the order of :func:`enumerate_guesses` and returns at
-    the first member that holds an occurrence, deciding member 1 before
-    the search. Keeps O(n) memory and its own stack rather than recursing,
-    since k//2 may exceed Python's recursion limit. Where no prefix fails
-    it still reaches all binom((n - k%2)//2, k//2) members that can hold an
-    occurrence and checks up to k//2 prefixes on the way to each,
+    live anchor family in the order of :func:`enumerate_guesses` and
+    returns at the first member that holds an occurrence, deciding member 1
+    before the search. Keeps O(n) memory and its own stack rather than
+    recursing, since k//2 may exceed Python's recursion limit. Where no
+    prefix fails it still reaches all binom(_live_n(n, k)//2, k//2) live
+    members and checks up to k//2 prefixes on the way to each,
     O(k n log n * 2^(n/2)) in all.
     """
     n, k = instance.n, instance.k
@@ -189,9 +205,8 @@ def detect_ppm(instance: PpmInstance) -> bool:
     # its last anchor at n, where no occurrence fits.
     if k >= n - 1:
         return False
-    # Anchor j (0-based) runs up to last + 2 * (j + 1); at even n and odd k
-    # it stops short of n, for the same reason.
-    last = 2 * ((n - k % 2) // 2 - r)
+    # Anchor j (0-based) runs up to last + 2 * (j + 1), over the live members.
+    last = 2 * (_live_n(n, k) // 2 - r)
     rest = sorted(sv)  # sorted text values after the anchor being stepped
     anchors = [0]  # the kept prefix a1..aj, then anchor j being stepped
     # Sorted values on the segments a1..aj fix, then anchor j's stretch.

@@ -12,7 +12,8 @@ Criteria 3-6 run the invariant checks of `ppm.selftest`, the same ones
        count > 0, on every instance with n <= 6 (647,773) and on 10^4
        seeded random instances with 7 <= n <= 12
     4. every occurrence (n <= 6, all instances) respects exactly one
-       family member, namely its canonical decomposition
+       family member, namely its canonical decomposition, and that member
+       is live (not one of the members count and detect skip)
     5. family size is binom(n//2, k//2) for all n <= 20, members valid
     6. lower-bound construction sizes for all valid (n, k), n <= 20
     7. confined counting stays linear up to n = 10^5 (cell writes plus

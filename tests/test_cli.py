@@ -351,6 +351,10 @@ SELFTEST_FAULTS = {
     "dropped-member-family": (
         solver, "enumerate_guesses", _drop_member_1, lambda: selftest.check_family(4), "family size",
     ),
+    "dead-member-cover": (solver, "_live_n", lambda real: lambda n, k: n - 2, _unique_cover, "dead member covers"),
+    "dead-member-cover-at-n": (
+        solver, "_live_n", lambda real: lambda n, k: n - 1, _unique_cover, "dead member covers",
+    ),
     "wrong-canonical-cover": (solver, "canonical_decomposition", _canonical_is_member_1, _unique_cover, "cover of f="),
     "wrong-canonical-lowerbound": (
         solver, "canonical_decomposition", _canonical_is_member_1, lambda: selftest.check_lowerbound(6),
@@ -560,7 +564,9 @@ def _refuses(command, algo, n, k):
 def test_one_work_budget_refuses_what_two_caps_did():
     # The decomposition cap alone refused a run only where n + k < 84: never
     # for --algo fast, and for bkm on 22 pairs whose binom(n, k//2) over-counts
-    # its guesses, which the work budget admits.
+    # its guesses, which the work budget admits. At even n and odd k the
+    # detect charge now counts only the live family, that of (n - 1, k), so
+    # it admits 31 detections that the charge of the whole family refused.
     differ = {algo: set() for algo in ("fast", "bkm", "brute")}
     for n in range(1, 90):
         for k in range(1, n + 1):
@@ -568,7 +574,15 @@ def test_one_work_budget_refuses_what_two_caps_did():
                 for algo in differ:
                     if _refuses(command, algo, n, k) != _parent_refuses(command, algo, n, k):
                         differ[algo].add((command, n, k))
-    assert differ["fast"] == differ["brute"] == set()
+    assert differ["brute"] == set()
+    fast_admitted = {
+        (n, k)
+        for n in range(2, 90, 2)
+        for k in range(3, n, 2)
+        if (comb(n // 2, k // 2) - 1) * (n + k) <= 5_880_000_000 < (comb(n // 2 + 1, k // 2) - 1) * (n + k)
+    }
+    assert len(fast_admitted) == 31 and min(fast_admitted) == (56, 29) and max(fast_admitted) == (88, 77)
+    assert differ["fast"] == {("detect", n, k) for n, k in fast_admitted}
     bkm_admitted = {
         (n, k)
         for n in range(1, 90)

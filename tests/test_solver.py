@@ -24,9 +24,8 @@ Claims checked here:
       one chain and never runs the counting DP
     - it makes no more chains than cli._detect_chains charges, and
       exactly that many on an identity text against a pattern ending in
-      a descent (even k, n <= 24); at even n and odd k it skips the
-      members whose last anchor is n, which hold no occurrence, and makes
-      the charge of (n - 1, k) on that text (n <= 24)
+      a descent (3 <= k <= n <= 24); at even n and odd k it skips the
+      members whose last anchor is n, which hold no occurrence
     - its prefix check places the whole pattern, the later positions right
       of the prefix: it keeps only prefixes whose own positions chain, and
       strictly fewer than a check of those positions alone
@@ -37,8 +36,10 @@ Claims checked here:
       keeps O(n) memory: one sorted suffix at any depth, below 1 MiB of
       peak traced memory on the deep member-2 case there, within twice
       the checks that case needs, and with k // 2 <= 2 at n = 3,000
-    - count_ppm hands dp.count_respecting each family member once, in
-      family order
+    - count_ppm sums the live family: it hands dp.count_respecting each
+      live member once, in family order, and skips the
+      binom(n/2 - 1, k//2 - 1) members whose last anchor is n at even n
+      and odd k
     - far past the oracle's default reach, count_ppm and detect_ppm match
       brute_force_count(max_n=n) on random, planted and sparse texts with
       k <= 4 up to n = 200 and k = 5..6 up to n = 100
@@ -276,9 +277,14 @@ def test_sum_is_partition_invariant():
     assert sum(per_member[:2]) + sum(per_member[2:]) == total
 
 
-@pytest.mark.parametrize("n,k", [(1, 1), (2, 2), (7, 3), (9, 4), (10, 5), (12, 6), (13, 7), (16, 8)])
+@pytest.mark.parametrize(
+    "n,k",
+    [(1, 1), (2, 2), (4, 3), (6, 5), (7, 3), (9, 4), (10, 5), (12, 6), (12, 7), (13, 7), (14, 5), (16, 8)],
+)
 def test_count_calls_dp_once_per_member_in_family_order(monkeypatch, n, k):
     # The benchmark's traced run times one count_respecting call per member.
+    # At even n and odd k the members whose last anchor is n hold no
+    # occurrence, and count skips them: binom(n/2 - 1, k//2 - 1) of them.
     calls = []
     real = dp.count_respecting
 
@@ -288,8 +294,10 @@ def test_count_calls_dp_once_per_member_in_family_order(monkeypatch, n, k):
 
     monkeypatch.setattr(dp, "count_respecting", counting)
     count_ppm(PpmInstance(random_permutation(n, 100 + n), random_permutation(k, 200 + k)))
-    assert len(calls) == family_size(n, k)
-    assert calls == [decomposition_of_guess(g, n, k) for g in enumerate_guesses(n, k)]
+    dead = n % 2 == 0 and k % 2 == 1
+    live = [g for g in enumerate_guesses(n, k) if not (dead and g[-1:] == (n,))]
+    assert calls == [decomposition_of_guess(g, n, k) for g in live]
+    assert family_size(n, k) - len(calls) == (comb(n // 2 - 1, k // 2 - 1) if dead and k >= 3 else 0)
 
 
 @pytest.mark.parametrize("threads", [2, 3, 8])
@@ -655,11 +663,13 @@ def test_cli_detect_charge_bounds_the_search(monkeypatch):
             _, leaves, prefixes = _record_checks(monkeypatch, PpmInstance(sigma, pattern))
             assert len(leaves) + len(prefixes) <= cli._detect_chains(n, k), (sigma, pattern)
     # An identity text against a pattern ending in a descent keeps every
-    # prefix and fails every leaf: there the charge is exact.
-    for n in range(4, 25):
-        for k in range(4, n + 1, 2):
+    # prefix and fails every leaf of the live family: there the charge is
+    # exact.
+    for n in range(3, 25):
+        for k in range(3, n + 1):
             inst = PpmInstance(_identity(n), Permutation(tuple(range(1, k - 1)) + (k, k - 1)))
-            _, leaves, prefixes = _record_checks(monkeypatch, inst)
+            found, leaves, prefixes = _record_checks(monkeypatch, inst)
+            assert not found
             assert len(leaves) + len(prefixes) == cli._detect_chains(n, k), (n, k)
 
 
