@@ -2,9 +2,13 @@
 
 Each check takes its corpus and returns a failure detail, "" meaning pass;
 none relies on `assert`, so all hold under `python -O`. They cover route
-agreement (count, bkm, brute force and detect), the exactly-once canonical
-cover by a live member, and the sizes of the anchor and lower-bound
-families. `run_suites` runs them beside five single-module suites on small
+agreement, the exactly-once canonical cover by a live member, and the
+sizes of the anchor and lower-bound families. `check_known_counts` is the
+one statement that count_ppm equals a count known by other means and
+detect_ppm says whether it is positive; `check_routes_agree` checks that
+bkm_count equals brute force and hands brute force's count to it, and
+the unit tests hand it their closed forms and independent counters.
+`run_suites` runs the checks beside five single-module suites on small
 corpora scaled by `max_n`; the acceptance gate runs them on its pinned
 corpora. The corpus builders draw the same instances wherever they are
 used. The `dp-matches-enumeration` suite also states the invariants
@@ -117,15 +121,26 @@ def _where(inst: PpmInstance) -> str:
     return f"sigma={inst.sigma.values} pattern={inst.pattern.values}"
 
 
-def check_routes_agree(instances: Iterable[PpmInstance]) -> str:
-    """The three counting routes agree, and detection agrees with the count."""
-    for inst in instances:
-        fast = solver.count_ppm(inst)
-        bkm = oracle.bkm_count(inst)
-        brute = oracle.brute_force_count(inst)
+def check_known_counts(cases: Iterable[tuple[PpmInstance, int]]) -> str:
+    """On each (instance, want) pair count_ppm is want, and detect_ppm says whether want > 0."""
+    for inst, want in cases:
+        got = solver.count_ppm(inst)
         found = solver.detect_ppm(inst)
-        if not fast == bkm == brute or found != (fast > 0):
-            return f"fast={fast} bkm={bkm} brute={brute} detect={found} on {_where(inst)}"
+        if got != want or found != (want > 0):
+            return f"want={want} count={got} detect={found} on {_where(inst)}"
+    return ""
+
+
+def check_routes_agree(instances: Iterable[PpmInstance]) -> str:
+    """bkm_count equals brute_force_count, and count and detect agree with it."""
+    for inst in instances:
+        brute = oracle.brute_force_count(inst)
+        bkm = oracle.bkm_count(inst)
+        if bkm != brute:
+            return f"bkm={bkm} brute={brute} on {_where(inst)}"
+        detail = check_known_counts([(inst, brute)])
+        if detail:
+            return detail
     return ""
 
 
@@ -156,15 +171,16 @@ def check_unique_cover(instances: Iterable[PpmInstance]) -> str:
 
 
 def check_family(max_n: int) -> str:
-    """For all k <= n <= max_n: binom(n//2, k//2) members, each valid (else it raises)."""
+    """For all k <= n <= max_n: binom(n//2, k//2) members, as family_size says, each valid (else it raises)."""
     for n in range(1, max_n + 1):
         for k in range(1, n + 1):
             count = 0
             for g in solver.enumerate_guesses(n, k):
                 validate_decomposition(solver.decomposition_of_guess(g, n, k))
                 count += 1
-            if count != comb(n // 2, k // 2):
-                return f"family size {count} != C({n // 2},{k // 2}) at n={n} k={k}"
+            size = solver.family_size(n, k)
+            if not count == size == comb(n // 2, k // 2):
+                return f"family size {count}, family_size {size} != C({n // 2},{k // 2}) at n={n} k={k}"
     return ""
 
 

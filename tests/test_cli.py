@@ -312,7 +312,7 @@ def test_selftest_catches_detect_mutant(capsys, monkeypatch):
     # Mutant: detection demands two occurrences, so it misses every single one.
     monkeypatch.setattr(solver, "detect_ppm", lambda instance: solver.count_ppm(instance) > 1)
     detail = selftest.check_routes_agree(selftest.exhaustive_instances(2))
-    assert detail.startswith("fast=1 bkm=1 brute=1 detect=False on ")
+    assert detail.startswith("want=1 count=1 detect=False on ")
     code, out, err = run_cli(capsys, "selftest", "--max-n", "2")
     assert code == 1
     assert "algorithms-agree: fail" in out.splitlines()
@@ -340,6 +340,14 @@ def _unique_cover():
     return selftest.check_unique_cover(selftest.exhaustive_instances(4))
 
 
+def _routes_agree():
+    return selftest.check_routes_agree(selftest.exhaustive_instances(2))
+
+
+def _off_by_one(real):
+    return lambda *args: real(*args) + 1
+
+
 # Each case plants one fault, built from the real attribute, and names a
 # check that must report it and the start of the detail it must give.
 SELFTEST_FAULTS = {
@@ -350,6 +358,15 @@ SELFTEST_FAULTS = {
     "dropped-member-cover": (solver, "enumerate_guesses", _drop_member_1, _unique_cover, "0 members cover"),
     "dropped-member-family": (
         solver, "enumerate_guesses", _drop_member_1, lambda: selftest.check_family(4), "family size",
+    ),
+    "off-by-one-family-size": (
+        solver, "family_size", _off_by_one, lambda: selftest.check_family(4), "family size 1, family_size 2 != C(0,0)",
+    ),
+    "off-by-one-bkm": (oracle, "bkm_count", _off_by_one, _routes_agree, "bkm=2 brute=1 on "),
+    "off-by-one-count": (solver, "count_ppm", _off_by_one, _routes_agree, "want=1 count=2 detect=True on "),
+    "negated-detect": (
+        solver, "detect_ppm", lambda real: lambda inst: not real(inst), _routes_agree,
+        "want=1 count=1 detect=False on ",
     ),
     "dead-member-cover": (solver, "_live_n", lambda real: lambda n, k: n - 2, _unique_cover, "dead member covers"),
     "dead-member-cover-at-n": (
@@ -537,20 +554,20 @@ def test_family_budget_boundary(capsys, monkeypatch):
             assert run_cli(capsys, "bench", "--algo", algo, "--pairs", "5:3", "--reps", "1")[0] == 2
 
 
-def _parent_refuses(command, algo, n, k):
-    """The rule the CLI kept before its one work budget, with exact binomials.
+def _work(command, algo, n, k):
+    """The rule's size * (n + k) in exact binomials: decompositions, or detect --algo fast's chains.
 
-    Two caps: over 7 * 10**7 decompositions, or decompositions * (n + k)
-    over 5.88 * 10**9; brute force past its cap on n instead.
+    The detect search walks the live family, that of (n - 1, k) at even n
+    and odd k, and checks binom(m//2 + 1, k//2) - 1 anchor prefixes of the
+    family of (m, k), or one chain when member 1 is all of it.
     """
-    if algo == "brute":
-        return n > oracle.DEFAULT_MAX_N
+    r = k // 2
     if (command, algo) == ("detect", "fast"):
-        r = k // 2
-        size = 1 if r in (0, n // 2) else comb(n // 2 + 1, r) - 1
+        half = (n - 1 if n % 2 == 0 and k % 2 else n) // 2
+        size = 1 if r in (0, half) else comb(half + 1, r) - 1
     else:
-        size = comb(n // 2 if algo == "fast" else n, k // 2)
-    return size > 7 * 10**7 or size * (n + k) > 5_880_000_000
+        size = comb(n // 2 if algo == "fast" else n, r)
+    return size * (n + k)
 
 
 def _refuses(command, algo, n, k):
@@ -561,36 +578,20 @@ def _refuses(command, algo, n, k):
     return False
 
 
-def test_one_work_budget_refuses_what_two_caps_did():
-    # The decomposition cap alone refused a run only where n + k < 84: never
-    # for --algo fast, and for bkm on 22 pairs whose binom(n, k//2) over-counts
-    # its guesses, which the work budget admits. At even n and odd k the
-    # detect charge now counts only the live family, that of (n - 1, k), so
-    # it admits 31 detections that the charge of the whole family refused.
-    differ = {algo: set() for algo in ("fast", "bkm", "brute")}
-    for n in range(1, 90):
-        for k in range(1, n + 1):
-            for command in ("count", "bench", "detect"):
-                for algo in differ:
-                    if _refuses(command, algo, n, k) != _parent_refuses(command, algo, n, k):
-                        differ[algo].add((command, n, k))
-    assert differ["brute"] == set()
-    fast_admitted = {
-        (n, k)
-        for n in range(2, 90, 2)
-        for k in range(3, n, 2)
-        if (comb(n // 2, k // 2) - 1) * (n + k) <= 5_880_000_000 < (comb(n // 2 + 1, k // 2) - 1) * (n + k)
-    }
-    assert len(fast_admitted) == 31 and min(fast_admitted) == (56, 29) and max(fast_admitted) == (88, 77)
-    assert differ["fast"] == {("detect", n, k) for n, k in fast_admitted}
-    bkm_admitted = {
-        (n, k)
-        for n in range(1, 90)
-        for k in range(1, n + 1)
-        if comb(n, k // 2) > 7 * 10**7 and comb(n, k // 2) * (n + k) <= 5_880_000_000
-    }
-    assert len(bkm_admitted) == 22
-    assert differ["bkm"] == {(command, n, k) for command in ("count", "bench", "detect") for n, k in bkm_admitted}
+def test_work_budget_refuses_exactly_past_work_max(monkeypatch):
+    # Every run below n = 90 against the rule itself: refused exactly when its
+    # work is over the budget, and brute force when n is past its cap. No work
+    # lands on WORK_MAX itself, so the sweep runs again at a budget that count
+    # --algo fast at n = 44, k = 22 meets exactly, where it must still run.
+    for budget in (cli.WORK_MAX, _work("count", "fast", 44, 22)):
+        monkeypatch.setattr(cli, "WORK_MAX", budget)
+        for n in range(1, 90):
+            for k in range(1, n + 1):
+                for command in ("count", "bench", "detect"):
+                    assert _refuses(command, "brute", n, k) == (n > oracle.DEFAULT_MAX_N)
+                    for algo in ("fast", "bkm"):
+                        over = _work(command, algo, n, k) > budget
+                        assert _refuses(command, algo, n, k) == over, (budget, command, algo, n, k)
 
 
 def _deep_detect_args(n):

@@ -10,6 +10,8 @@ Claims checked here:
     - a run past its timeout counts as incorrect, so the set exits 1
     - a workload BENCHMARK.json does not list is refused before the base
       is extracted or any run starts
+    - a base revision git cannot archive is refused with git's message,
+      exit 2, before any run starts
 No benchmark run is launched.
 """
 
@@ -91,3 +93,15 @@ def test_an_unlisted_workload_is_refused_before_any_run(monkeypatch, capsys):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "unknown workload dnese; BENCHMARK.json lists random, planted, dense, small" in err
+
+
+def test_an_unknown_base_revision_is_refused_before_any_run(monkeypatch, capsys):
+    def no_run(*args, **kwargs):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(pairs, "run_once", no_run)
+    with pytest.raises(SystemExit) as exc:
+        pairs.main(["--base", "no-such-rev", "--workloads", "small", "--pairs", "1"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "cannot extract --base no-such-rev: fatal: " in err

@@ -7,12 +7,13 @@ with ``git archive`` into a temporary directory, which is removed at the
 end; no worktree is made and ``.git`` is only read. Pair i runs
 ``perfbench/run.py --seed S+i --seconds 25 --trace 0`` once in each tree
 for every workload, the base first on even i and the change first on odd
-i. A workload that BENCHMARK.json does not list is refused before any
-run. Each run prints one line as it ends. Then, per (workload, metric),
-the summary gives each side's median and quartiles, the change/base
-ratio of the medians and how many pairs the change won; ties count for
-neither side. A metric is better when lower unless BENCHMARK.json says "higher".
-The exit status is 1 if any run failed, ran past 180 s or reported
+i. A workload that BENCHMARK.json does not list, or a base revision git
+cannot archive, is refused with exit 2 before any run. Each run prints
+one line as it ends. Then, per (workload, metric), the summary gives
+each side's median and quartiles, the change/base ratio of the medians
+and how many pairs the change won; ties count for neither side. A
+metric is better when lower unless BENCHMARK.json says "higher". The
+exit status is 1 if any run failed, ran past 180 s or reported
 ``correct: false``.
 """
 
@@ -125,7 +126,10 @@ def main(argv: list[str] | None = None) -> int:
     results: dict[str, list[tuple[dict, dict]]] = {w: [] for w in workloads}
     with tempfile.TemporaryDirectory() as tmp:
         base_tree = Path(tmp)
-        _extract(args.base, base_tree)
+        try:
+            _extract(args.base, base_tree)
+        except subprocess.CalledProcessError as exc:
+            parser.error(f"cannot extract --base {args.base}: {exc.stderr.decode(errors='replace').strip()}")
         for i in range(args.pairs):
             seed = args.first_seed + i
             for workload in workloads:
