@@ -7,10 +7,11 @@ diagnostics to stderr, one line each.
 Every flag and its default is declared once, in `build_parser`, which
 binds each subcommand to its `cmd_*` function; the commands read the
 argparse namespace. `_validate_config` makes the range checks argparse
-cannot express. `_check_family` is the one size check, made before any
-work: a run is refused when its decompositions * (n + k) exceed WORK_MAX,
-`detect --algo fast` being charged the chains its search can run, and
-brute force past its cap on n.
+cannot express. `_check_family` is the one size check on a count, made
+before any work: a run is refused when its decompositions * (n + k)
+exceed WORK_MAX, and brute force past its cap on n. `detect --algo fast`
+is metered instead: its search may make WORK_MAX // (n + k) greedy
+chains, and a run that spends them with no answer exits 2.
 """
 
 from __future__ import annotations
@@ -42,13 +43,13 @@ GEN_MAX_N = 10**6
 # place d, one digit for each value of at least d + 1 digits.
 FILE_MAX_BYTES = 2 * (GEN_MAX_N + sum(GEN_MAX_N - 10**d + 1 for d in range(len(str(GEN_MAX_N)))))
 # Most work count, detect and bench may face, in units of decompositions
-# * (n + k): one confined count and one greedy chain are each linear in
-# n + k, and `detect --algo fast` is charged its chains. A count took about
+# * (n + k), or of greedy chains * (n + k) for `detect --algo fast`: one
+# confined count and one chain are each linear in n + k. A count took about
 # 0.6 us per unit (28-47 us each on identity texts at n = 56-60, k = n/2, and
 # 0.4-1 us per unit at n = 10**6, k = 2), so a count at the cap takes about
 # an hour. A chain took about 0.06 us per unit (721,800 of them took 222 s at
-# n = 2402, k = 2400), so the largest deep-k detection admitted, n = 2864,
-# should take about 6 minutes. Measured on 2 vCPUs under Python 3.11.
+# n = 2402, k = 2400), so a detection that spends all its chains takes about
+# 6 minutes. Measured on 2 vCPUs under Python 3.11.
 WORK_MAX = 5_880_000_000
 # Most `bench --reps`: enough for a median, and each rep reruns the whole count.
 REPS_MAX = 100
@@ -61,15 +62,25 @@ _THREADS_FLAG = {"type": int, "default": 1, "help": _THREADS_HELP}
 
 
 def cmd_count(args: argparse.Namespace) -> int:
-    print(_count_with(args.algo, _load_instance(args)))
+    instance = _load_instance(args)
+    _check_family(args.algo, instance.n, instance.k)
+    print(_count_with(args.algo, instance))
     return EXIT_OK
 
 
 def cmd_detect(args: argparse.Namespace) -> int:
     instance = _load_instance(args)
+    n, k = instance.n, instance.k
     if args.algo == "fast":
-        found = solver.detect_ppm(instance)
+        chains = WORK_MAX // (n + k)
+        found = solver._detect(instance, chains)
+        if found is None:
+            raise PpmError(
+                f"--algo fast on n={n} k={k} spent its {chains} chains with no answer, "
+                f"chains * (n + k) <= {WORK_MAX}"
+            )
     else:
+        _check_family(args.algo, n, k)
         found = _count_with(args.algo, instance) > 0
     print("true" if found else "false")
     return EXIT_OK
@@ -104,7 +115,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             start = time.perf_counter_ns()
             count = _count_with(args.algo, instance)
             timings.append(time.perf_counter_ns() - start)
-        decompositions = _decomposition_bound(args.algo, n, k)
+        decompositions = _check_family(args.algo, n, k)
         print(f"{args.algo},{n},{k},{decompositions},{count},{int(statistics.median(timings))}")
     return EXIT_OK
 
@@ -117,69 +128,32 @@ def _count_with(algorithm: str, instance: PpmInstance) -> int:
     return oracle.brute_force_count(instance)
 
 
-def _decomposition_bound(algorithm: str, n: int, k: int) -> int:
-    """Decompositions the algorithm faces, or WORK_MAX // (n + k) + 1 once past the budget."""
-    if algorithm == "brute":
-        return 0
-    return _comb_past(n // 2 if algorithm == "fast" else n, k // 2, WORK_MAX // (n + k))
+def _check_family(algorithm: str, n: int, k: int) -> int:
+    """Decompositions a count by the algorithm faces, refused once they * (n + k) exceed WORK_MAX.
 
-
-def _detect_chains(n: int, k: int) -> int:
-    """Greedy chains `detect --algo fast` can run, or WORK_MAX // (n + k) + 1 once past the budget.
-
-    The search walks the live family, that of (m, k) with
-    m = solver._live_n(n, k). It checks each anchor prefix at most once,
-    and depth j holds binom(m//2 - k//2 + j, j) of them, so depths
-    1..k//2 sum (hockey stick) to binom(m//2 + 1, k//2) - 1; member 1's
-    leaf is skipped, its chain runs first. An identity text against a
-    pattern ending in a descent reaches every prefix. When member 1 is
-    the whole live family (k//2 = m//2) or k = 1, its one chain is all.
-    """
-    r = k // 2
-    half = solver._live_n(n, k) // 2
-    if r in (0, half):
-        return 1
-    return _comb_past(half + 1, r, WORK_MAX // (n + k) + 1) - 1
-
-
-def _comb_past(m: int, j: int, limit: int) -> int:
-    """binom(m, j), or limit + 1 once past limit.
-
-    binom(m, j) = binom(m, m - j) is built one factor at a time and grows
-    at each step, so it stops once past the limit: in full it takes
-    seconds at n = 10**6.
-    """
-    size = 1
-    for i in range(min(j, m - j)):
-        size = size * (m - i) // (i + 1)
-        if size > limit:
-            return limit + 1
-    return size
-
-
-def _check_family(command: str, algorithm: str, n: int, k: int) -> None:
-    """Refuse a run whose work, decompositions * (n + k), is over WORK_MAX.
-
-    `detect --algo fast` is charged its chains in place of decompositions.
     Brute force faces none, and its own cap on n refuses it instead.
+    binom(m, j) = binom(m, m - j) is built one factor at a time and grows
+    at each step, so it stops once past the budget: in full it takes
+    seconds at n = 10**6. One decomposition is always within it, since
+    n + k is at most a few million.
     """
     if algorithm == "brute":
         oracle._check_cap(n, oracle.DEFAULT_MAX_N)
-    if (command, algorithm) == ("detect", "fast"):
-        size = _detect_chains(n, k)
-    else:
-        size = _decomposition_bound(algorithm, n, k)
-    if size * (n + k) > WORK_MAX:
-        raise PpmError(f"--algo {algorithm} on n={n} k={k} faces decompositions * (n + k) over {WORK_MAX}")
+        return 0
+    m, j = (n // 2 if algorithm == "fast" else n), k // 2
+    size = 1
+    for i in range(min(j, m - j)):
+        size = size * (m - i) // (i + 1)
+        if size * (n + k) > WORK_MAX:
+            raise PpmError(f"--algo {algorithm} on n={n} k={k} faces decompositions * (n + k) over {WORK_MAX}")
+    return size
 
 
 def _load_instance(args: argparse.Namespace) -> PpmInstance:
-    instance = PpmInstance(
+    return PpmInstance(
         _load_permutation(args.sigma, args.sigma_file, line=1),
         _load_permutation(args.pattern, args.pattern_file, line=2),
     )
-    _check_family(args.command, args.algo, instance.n, instance.k)
-    return instance
 
 
 def _load_permutation(text: str | None, path: str | None, line: int) -> Permutation:
@@ -291,6 +265,6 @@ def _validate_config(args: argparse.Namespace) -> None:
     if "reps" in args and not 1 <= args.reps <= REPS_MAX:
         raise PpmError(f"--reps must be in [1, {REPS_MAX}], got {args.reps}")
     for n, k in getattr(args, "pairs", ()):
-        if not 1 <= k <= n:
-            raise PpmError(f"bad pair n={n} k={k}, need 1 <= k <= n")
-        _check_family(args.command, args.algo, n, k)
+        if not 1 <= k <= n <= GEN_MAX_N:
+            raise PpmError(f"bad pair n={n} k={k}, need 1 <= k <= n <= {GEN_MAX_N}")
+        _check_family(args.algo, n, k)

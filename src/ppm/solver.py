@@ -47,7 +47,9 @@ anchor, so the search keeps O(n) memory at any depth.
 Pruning depends on the instance; where no prefix fails the search still
 reaches all its binom(_live_n(n, k)//2, k//2) members and checks up to k//2
 prefixes on the way to each, at O(n log n) a check, so detection's worst
-case is O(k n log n * 2^(n/2)) time, still with O(n) memory.
+case is O(k n log n * 2^(n/2)) time, still with O(n) memory. Since that
+cost depends on the instance, the private ``_detect`` counts its checks
+and gives up once a given number is spent: the CLI meters detection so.
 """
 
 from __future__ import annotations
@@ -190,6 +192,11 @@ def detect_ppm(instance: PpmInstance) -> bool:
     members and checks up to k//2 prefixes on the way to each,
     O(k n log n * 2^(n/2)) in all.
     """
+    return _detect(instance, math.inf)
+
+
+def _detect(instance: PpmInstance, max_chains: float) -> bool | None:
+    """:func:`detect_ppm`'s answer, or None if it needs more than max_chains ``dp._has_chain`` calls."""
     n, k = instance.n, instance.k
     r = k // 2
     sv = instance.sigma.values
@@ -199,6 +206,8 @@ def detect_ppm(instance: PpmInstance) -> bool:
     member1 = [[x, y] if x < y else [y, x] for x, y in zip(sv, sv[1:2 * r + 1])]
     if 2 * r == n:
         member1.append([sv[n - 1]])
+    if not max_chains:
+        return None
     if dp._has_chain(member1, pinv, sorted(sv[2 * r:]) if k % 2 else ()):
         return True
     # At k >= n - 1 member 1 is the whole family, or every other member has
@@ -207,6 +216,7 @@ def detect_ppm(instance: PpmInstance) -> bool:
         return False
     # Anchor j (0-based) runs up to last + 2 * (j + 1), over the live members.
     last = 2 * (_live_n(n, k) // 2 - r)
+    chains = max_chains - 1  # dp._has_chain calls left after member 1's
     rest = sorted(sv)  # sorted text values after the anchor being stepped
     anchors = [0]  # the kept prefix a1..aj, then anchor j being stepped
     # Sorted values on the segments a1..aj fix, then anchor j's stretch.
@@ -228,6 +238,9 @@ def detect_ppm(instance: PpmInstance) -> bool:
         if j == r - 1 and a == 2 * r:  # member 1's leaf
             continue
         buckets.append(([y, sv[a]] if y < sv[a] else [sv[a], y]) if a < n else [y])
+        if not chains:
+            return None
+        chains -= 1
         if dp._has_chain(buckets, pinv, rest):
             if j == r - 1:
                 return True

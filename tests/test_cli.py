@@ -7,6 +7,7 @@ Exit code convention under test: 0 success, 1 self-test failure,
 import os
 import subprocess
 import sys
+import time
 from itertools import chain, count, islice
 from math import comb
 from pathlib import Path
@@ -493,6 +494,20 @@ def test_bench_refuses_unbounded_reps(capsys, monkeypatch):
     validate("bench", "--pairs", "8:4", "--reps", str(cli.REPS_MAX))
 
 
+def test_bench_refuses_n_above_gen_cap(capsys, monkeypatch):
+    # k = 1 is one member, so the work budget admits n = 10**9; drawing its
+    # text would take most of an hour and tens of GB.
+    def no_draw(*_args):
+        raise AssertionError("an instance was drawn")
+
+    monkeypatch.setattr(cli, "random_permutation", no_draw)
+    code, out, err = run_cli(capsys, "bench", "--pairs", "8:4,1000000000:1")
+    assert (code, out) == (2, "")
+    assert err == f"ppm: bad pair n=1000000000 k=1, need 1 <= k <= n <= {cli.GEN_MAX_N}\n"
+    assert run_cli(capsys, "bench", "--pairs", f"{cli.GEN_MAX_N + 1}:1")[:2] == (2, "")
+    validate("bench", "--pairs", f"{cli.GEN_MAX_N}:1")
+
+
 def test_bench_times_grow_with_n(capsys):
     code, out, _ = run_cli(
         capsys, "bench", "--pairs", "28:14,32:16,36:18", "--reps", "3", "--seed", "11"
@@ -510,7 +525,7 @@ def _budget_message(algo, n, k):
 
 
 def test_family_budget_refuses_n200_pair(tmp_path, capsys, monkeypatch):
-    # Without the budget each of these runs until killed.
+    # Without the budget each count runs until killed.
     inst = tmp_path / "instance.txt"
     inst.write_text(
         f"{format_permutation(random_permutation(200, 1))}\n{format_permutation(random_permutation(100, 2))}\n"
@@ -521,16 +536,20 @@ def test_family_budget_refuses_n200_pair(tmp_path, capsys, monkeypatch):
         raise AssertionError("a search started")
 
     monkeypatch.setattr(cli, "_count_with", no_search)
-    monkeypatch.setattr(solver, "detect_ppm", no_search)
-    for cmd, algo in (("count", "fast"), ("count", "bkm"), ("detect", "fast"), ("detect", "bkm")):
+    for cmd, algo in (("count", "fast"), ("count", "bkm"), ("detect", "bkm")):
         code, out, err = run_cli(capsys, cmd, "--algo", algo, *files)
         assert (code, out) == (2, "")
         assert err == _budget_message(algo, 200, 100)
+    # Detection is metered, not charged up front: this search ends after
+    # 2,152 chains.
+    assert run_cli(capsys, "detect", "--algo", "fast", *files) == (0, "false\n", "")
     # No bench pair starts, and no header is printed, when any pair is over.
     assert run_cli(capsys, "bench", "--pairs", "8:4,200:100")[:2] == (2, "")
-    # The full binomial at the largest gen size takes seconds; the bound stops past the budget.
-    n, k = cli.GEN_MAX_N, cli.GEN_MAX_N // 2
-    assert cli._decomposition_bound("bkm", n, k) == cli.WORK_MAX // (n + k) + 1
+    # The full binomial at the largest gen size takes seconds; the check stops past the budget.
+    start = time.perf_counter()
+    with pytest.raises(ppm.PpmError, match=r"faces decompositions \* \(n \+ k\) over 5880000000$"):
+        cli._check_family("bkm", cli.GEN_MAX_N, cli.GEN_MAX_N // 2)
+    assert time.perf_counter() - start < 0.5
 
 
 def test_family_budget_boundary(capsys, monkeypatch):
@@ -540,7 +559,8 @@ def test_family_budget_boundary(capsys, monkeypatch):
     validate("bench", "--pairs", "56:28")
     with pytest.raises(ppm.PpmError):
         validate("bench", "--pairs", "58:29")
-    # A run exactly at the budget runs; one unit less refuses it.
+    # A run exactly at the budget runs; one unit less refuses it, except
+    # detect --algo fast, which member 1 decides with one chain.
     instance = ("--sigma", "3 2 5 4 1", "--pattern", "1 3 2")
     for algo, size in (("fast", comb(2, 1)), ("bkm", comb(5, 1)), ("brute", 0)):
         monkeypatch.setattr(cli, "WORK_MAX", size * (5 + 3))
@@ -550,48 +570,38 @@ def test_family_budget_boundary(capsys, monkeypatch):
         if size:
             monkeypatch.setattr(cli, "WORK_MAX", size * (5 + 3) - 1)
             assert run_cli(capsys, "count", "--algo", algo, *instance)[0] == 2
-            assert run_cli(capsys, "detect", "--algo", algo, *instance)[0] == 2
+            detected = (0, "true\n") if algo == "fast" else (2, "")
+            assert run_cli(capsys, "detect", "--algo", algo, *instance)[:2] == detected
             assert run_cli(capsys, "bench", "--algo", algo, "--pairs", "5:3", "--reps", "1")[0] == 2
 
 
-def _work(command, algo, n, k):
-    """The rule's size * (n + k) in exact binomials: decompositions, or detect --algo fast's chains.
-
-    The detect search walks the live family, that of (n - 1, k) at even n
-    and odd k, and checks binom(m//2 + 1, k//2) - 1 anchor prefixes of the
-    family of (m, k), or one chain when member 1 is all of it.
-    """
-    r = k // 2
-    if (command, algo) == ("detect", "fast"):
-        half = (n - 1 if n % 2 == 0 and k % 2 else n) // 2
-        size = 1 if r in (0, half) else comb(half + 1, r) - 1
-    else:
-        size = comb(n // 2 if algo == "fast" else n, r)
-    return size * (n + k)
+def _work(algo, n, k):
+    """The rule's decompositions * (n + k), in exact binomials."""
+    return comb(n // 2 if algo == "fast" else n, k // 2) * (n + k)
 
 
-def _refuses(command, algo, n, k):
+def _refuses(algo, n, k):
     try:
-        cli._check_family(command, algo, n, k)
+        cli._check_family(algo, n, k)
     except ppm.PpmError:
         return True
     return False
 
 
 def test_work_budget_refuses_exactly_past_work_max(monkeypatch):
-    # Every run below n = 90 against the rule itself: refused exactly when its
-    # work is over the budget, and brute force when n is past its cap. No work
-    # lands on WORK_MAX itself, so the sweep runs again at a budget that count
-    # --algo fast at n = 44, k = 22 meets exactly, where it must still run.
-    for budget in (cli.WORK_MAX, _work("count", "fast", 44, 22)):
+    # Every count below n = 90 against the rule itself: refused exactly when
+    # its work is over the budget, and brute force when n is past its cap.
+    # No work lands on WORK_MAX itself, so the sweep runs again at a budget
+    # that count --algo fast at n = 44, k = 22 meets exactly, where it must
+    # still run. count, bench and detect through bkm or brute all make this
+    # one check; detect --algo fast never does.
+    for budget in (cli.WORK_MAX, _work("fast", 44, 22)):
         monkeypatch.setattr(cli, "WORK_MAX", budget)
         for n in range(1, 90):
             for k in range(1, n + 1):
-                for command in ("count", "bench", "detect"):
-                    assert _refuses(command, "brute", n, k) == (n > oracle.DEFAULT_MAX_N)
-                    for algo in ("fast", "bkm"):
-                        over = _work(command, algo, n, k) > budget
-                        assert _refuses(command, algo, n, k) == over, (budget, command, algo, n, k)
+                assert _refuses("brute", n, k) == (n > oracle.DEFAULT_MAX_N)
+                for algo in ("fast", "bkm"):
+                    assert _refuses(algo, n, k) == (_work(algo, n, k) > budget), (budget, algo, n, k)
 
 
 def _deep_detect_args(n):
@@ -603,26 +613,19 @@ def _deep_detect_args(n):
 
 
 def test_detect_budget_charges_its_chains(capsys, monkeypatch):
-    assert cli._detect_chains(402, 400) == comb(202, 200) - 1 == 20_300
-    assert cli._detect_chains(2402, 2400) == 721_800
-    # It runs at n = 402 (about a second), and n = 3,000 is refused before any work.
+    # At n = 402 the deep shape makes binom(202, 200) - 1 = 20,300 chains
+    # (about a second): with exactly that many it answers, and one unit of
+    # work less stops it, with nothing on stdout.
+    chains = comb(202, 200) - 1
+    monkeypatch.setattr(cli, "WORK_MAX", chains * (402 + 400))
     assert run_cli(capsys, *_deep_detect_args(402)) == (0, "false\n", "")
-
-    def no_search(_instance):
-        raise AssertionError("detection started")
-
-    monkeypatch.setattr(solver, "detect_ppm", no_search)
-    code, out, err = run_cli(capsys, *_deep_detect_args(3000))
-    assert (code, out) == (2, "")
-    assert err == _budget_message("fast", 3000, 2998)
-    # At k = n/2 the chains pass the budget one pair sooner than count's members.
-    cli._check_family("detect", "fast", 54, 27)
-    with pytest.raises(ppm.PpmError, match=r"faces decompositions \* \(n \+ k\) over 5880000000$"):
-        cli._check_family("detect", "fast", 56, 28)
-    cli._check_family("count", "fast", 56, 28)
-    # A one-member family, or k = 1, is one chain, however long the text.
-    cli._check_family("detect", "fast", 10**6, 10**6)
-    cli._check_family("detect", "fast", 10**6, 1)
+    monkeypatch.setattr(cli, "WORK_MAX", chains * (402 + 400) - 1)
+    assert run_cli(capsys, *_deep_detect_args(402)) == (
+        2,
+        "",
+        f"ppm: --algo fast on n=402 k=400 spent its {chains - 1} chains with no answer, "
+        f"chains * (n + k) <= {chains * 802 - 1}\n",
+    )
 
 
 def test_work_budget_refuses_long_text_tiny_pattern(capsys, monkeypatch):

@@ -27,10 +27,13 @@ Claims checked here:
       2(j + 1) segments of a family member, with the sorted text after
       their last anchor as the rest; it decides a one-member family with
       one chain and never runs the counting DP
-    - it makes no more chains than cli._detect_chains charges, and
-      exactly that many on an identity text against a pattern ending in
-      a descent (3 <= k <= n <= 24); at even n and odd k it skips the
-      members whose last anchor is n, which hold no occurrence
+    - the private solver._detect(inst, c) gives detect_ppm's answer when
+      the search makes at most c chains and None when it needs one more;
+      an identity text against a pattern ending in a descent makes the most,
+      binom(m//2 + 1, k//2) - 1 over the live (m, k) family
+      (3 <= k <= n <= 24), and every other search tried makes no more; at
+      even n and odd k it skips the members whose last anchor is n, which
+      hold no occurrence
     - its prefix check places the whole pattern, the later positions right
       of the prefix: it keeps only prefixes whose own positions chain, and
       strictly fewer than a check of those positions alone
@@ -59,11 +62,11 @@ import random
 import threading
 import tracemalloc
 from itertools import accumulate, islice, permutations, product
-from math import comb
+from math import comb, inf
 
 import pytest
 
-from ppm import cli, dp, oracle
+from ppm import cli, dp, oracle, solver
 from ppm.core import (
     Embedding,
     InstanceTooLarge,
@@ -102,6 +105,11 @@ def _identity(n):
 
 def _anti_identity(n):
     return Permutation(tuple(range(n, 0, -1)))
+
+
+def _descent_ended(n, k):
+    """Identity text of length n against (1..k-2, k, k-1): every prefix holds, every leaf fails."""
+    return PpmInstance(_identity(n), Permutation(tuple(range(1, k - 1)) + (k, k - 1)))
 
 
 # -- decomposition_of_guess ----------------------------------------------------
@@ -366,17 +374,17 @@ def _deep_member_2():
     return PpmInstance(text, pattern)
 
 
-def _traced_detect(inst):
-    """detect_ppm's answer and the peak memory tracemalloc sees during the call."""
+def _traced_detect(inst, max_chains=inf):
+    """_detect's answer within max_chains and the peak memory tracemalloc sees during the call."""
     tracemalloc.start()
     try:
-        found = detect_ppm(inst)
+        found = solver._detect(inst, max_chains)
         return found, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
 
 
-def test_deep_detect_memory_stays_small(monkeypatch):
+def test_deep_detect_memory_stays_small():
     # The search keeps all 1,199 prefixes of member 1's anchors before it
     # reaches member 2. It holds two sorted segments per depth, which
     # together cover the text once, and one sorted text suffix. A sorted
@@ -384,19 +392,9 @@ def test_deep_detect_memory_stays_small(monkeypatch):
     # It makes 1,201 checks. A search that missed member 2 would go on
     # through a family whose search time grows as n^3, for minutes under
     # tracing, so the checks are capped at twice that to fail in seconds.
-    real_chain = dp._has_chain
-    checks = 0
-
-    def capped(buckets, order, rest=()):
-        nonlocal checks
-        checks += 1
-        if checks > 2 * 1201:
-            raise AssertionError("detection ran past twice the checks it needs")
-        return real_chain(buckets, order, rest)
-
-    monkeypatch.setattr(dp, "_has_chain", capped)
-    found, peak = _traced_detect(_deep_member_2())
-    assert found and peak < 2**20
+    found, peak = _traced_detect(_deep_member_2(), 2 * 1201)
+    assert found is True, f"{found}: None means twice the checks it needs ran out"
+    assert peak < 2**20
 
 
 def test_shallow_detect_keeps_no_suffix_per_anchor():
@@ -613,10 +611,7 @@ def test_detect_checks_each_leaf_once_in_family_order(monkeypatch):
     # In an identity text every prefix of an increasing pattern holds, so a
     # pattern ending in a descent fails every member and all are leaves.
     rng = random.Random(63)
-    cases = [
-        PpmInstance(_identity(n), Permutation(tuple(range(1, k - 1)) + (k, k - 1)))
-        for n, k in ((10, 6), (13, 7), (16, 8))
-    ]
+    cases = [_descent_ended(n, k) for n, k in ((10, 6), (13, 7), (16, 8))]
     for _ in range(20):
         n = rng.randint(12, 18)
         k = rng.randint(n // 4, n // 2)
@@ -631,40 +626,59 @@ def test_detect_checks_each_leaf_once_in_family_order(monkeypatch):
             assert len(visited) == family_size(n, k)
 
 
-def test_cli_detect_charge_bounds_the_search(monkeypatch):
-    # cli._detect_chains charges `detect --algo fast` for the search's shape
-    # before it runs, so the search must make no more checks than that.
+def _descent_ended_chains(n, k):
+    """The chains detection makes on _descent_ended(n, k): one per live prefix.
+
+    The live family is that of (m, k), m = n - 1 at even n and odd k and n
+    otherwise. Its depth j holds binom(m//2 - k//2 + j, j) anchor prefixes,
+    so depths 1..k//2 sum (hockey stick) to binom(m//2 + 1, k//2) - 1;
+    member 1's leaf is skipped, its chain runs first. When member 1 is the
+    whole live family (k//2 = m//2) or k = 1, its one chain is all.
+    """
+    r = k // 2
+    half = (n - 1 if n % 2 == 0 and k % 2 else n) // 2
+    return 1 if r in (0, half) else comb(half + 1, r) - 1
+
+
+def test_detect_stops_exactly_when_its_chains_run_out(monkeypatch):
+    # _detect(inst, c) answers as detect_ppm does when the search makes at
+    # most c chains, and returns None when it would make more.
     rng = random.Random(66)
     for _ in range(60):
         n = rng.randint(2, 18)
         k = rng.randint(1, n)
         pattern = random_permutation(k, rng.getrandbits(32))
         for sigma in (random_permutation(n, rng.getrandbits(32)), _identity(n)):
-            _, leaves, prefixes = _record_checks(monkeypatch, PpmInstance(sigma, pattern))
-            assert len(leaves) + len(prefixes) <= cli._detect_chains(n, k), (sigma, pattern)
-    # An identity text against a pattern ending in a descent keeps every
-    # prefix and fails every leaf of the live family: there the charge is
-    # exact.
+            inst = PpmInstance(sigma, pattern)
+            found, leaves, prefixes = _record_checks(monkeypatch, inst)
+            chains = len(leaves) + len(prefixes)
+            assert chains <= _descent_ended_chains(n, k), (sigma, pattern)
+            assert solver._detect(inst, chains) is found, (sigma, pattern)
+            assert solver._detect(inst, chains - 1) is None, (sigma, pattern)
+    # The descent-ended shape keeps every prefix and fails every leaf of the
+    # live family, which is the most chains any (n, k) search makes.
     for n in range(3, 25):
         for k in range(3, n + 1):
-            inst = PpmInstance(_identity(n), Permutation(tuple(range(1, k - 1)) + (k, k - 1)))
+            inst = _descent_ended(n, k)
+            chains = _descent_ended_chains(n, k)
             found, leaves, prefixes = _record_checks(monkeypatch, inst)
             assert not found
-            assert len(leaves) + len(prefixes) == cli._detect_chains(n, k), (n, k)
+            assert len(leaves) + len(prefixes) == chains, (n, k)
+            assert solver._detect(inst, chains) is False, (n, k)
+            assert solver._detect(inst, chains - 1) is None, (n, k)
 
 
 def test_detect_skips_members_with_an_anchor_at_n(monkeypatch):
     # At even n and odd k a member whose last anchor is n gives positions
     # k - 1 and k the one text position n, so it holds no occurrence, and the
     # search leaves those members out: what remains is the (n - 1, k) family.
-    # The same identity text against a pattern ending in a descent reaches
-    # every prefix of it, so the search makes the charge of (n - 1, k).
+    # The descent-ended shape reaches every prefix of it, so the search makes
+    # the chains of (n - 1, k).
     for n in range(4, 25, 2):
         for k in range(3, n, 2):
-            inst = PpmInstance(_identity(n), Permutation(tuple(range(1, k - 1)) + (k, k - 1)))
-            found, leaves, prefixes = _record_checks(monkeypatch, inst)
+            found, leaves, prefixes = _record_checks(monkeypatch, _descent_ended(n, k))
             assert not found
-            assert len(leaves) + len(prefixes) == cli._detect_chains(n - 1, k), (n, k)
+            assert len(leaves) + len(prefixes) == _descent_ended_chains(n - 1, k), (n, k)
             assert all(anchors[-1] < n for anchors in leaves), (n, k)
 
 
