@@ -8,10 +8,13 @@ Every flag and its default is declared once, in `build_parser`, which
 binds each subcommand to its `cmd_*` function; the commands read the
 argparse namespace. `_validate_config` makes the range checks argparse
 cannot express. `_check_family` is the one size check on a count, made
-before any work: a run is refused when its decompositions * (n + k)
-exceed WORK_MAX, and brute force past its cap on n. `detect --algo fast`
-is metered instead: its search may make WORK_MAX // (n + k) greedy
-chains, and a run that spends them with no answer exits 2.
+before any work: a run is refused when the confined counts it makes
+times n + k exceed WORK_MAX, and brute force past its cap on n. It takes
+each route's family width from the module whose loop walks that family,
+so bench's `decompositions` column is exactly the confined counts a rep
+makes. `detect --algo fast` is metered instead: its search may make
+WORK_MAX // (n + k) greedy chains, and a run that spends them with no
+answer exits 2.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ GEN_MAX_N = 10**6
 # prints. A line of 1..N holds N - 1 spaces, a newline and, per digit
 # place d, one digit for each value of at least d + 1 digits.
 FILE_MAX_BYTES = 2 * (GEN_MAX_N + sum(GEN_MAX_N - 10**d + 1 for d in range(len(str(GEN_MAX_N)))))
-# Most work count, detect and bench may face, in units of decompositions
+# Most work count, detect and bench may face, in units of confined counts
 # * (n + k), or of greedy chains * (n + k) for `detect --algo fast`: one
 # confined count and one chain are each linear in n + k. A count took about
 # 0.6 us per unit (28-47 us each on identity texts at n = 56-60, k = n/2, and
@@ -104,7 +107,7 @@ def cmd_selftest(args: argparse.Namespace) -> int:
 def cmd_bench(args: argparse.Namespace) -> int:
     print("algo,n,k,decompositions,count,nanos_median")
     seeds = SplitMix64(args.seed)
-    for n, k in args.pairs:
+    for n, k, decompositions in args.pairs:
         instance = PpmInstance(
             random_permutation(n, seeds.next_u64()),
             random_permutation(k, seeds.next_u64()),
@@ -115,7 +118,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
             start = time.perf_counter_ns()
             count = _count_with(args.algo, instance)
             timings.append(time.perf_counter_ns() - start)
-        decompositions = _check_family(args.algo, n, k)
         print(f"{args.algo},{n},{k},{decompositions},{count},{int(statistics.median(timings))}")
     return EXIT_OK
 
@@ -129,18 +131,23 @@ def _count_with(algorithm: str, instance: PpmInstance) -> int:
 
 
 def _check_family(algorithm: str, n: int, k: int) -> int:
-    """Decompositions a count by the algorithm faces, refused once they * (n + k) exceed WORK_MAX.
+    """Confined counts a count by the algorithm makes, refused once they * (n + k) exceed WORK_MAX.
 
-    Brute force faces none, and its own cap on n refuses it instead.
+    `fast` and `bkm` make binom(m, k//2), m being the width their own loop
+    walks: `solver._live_n(n, k) // 2` anchor slots for `fast`, one count
+    per live family member, and `oracle._guess_width(n, k)` for `bkm`, one
+    per feasible guess. Brute force makes none, and its own cap on n
+    refuses it instead.
     binom(m, j) = binom(m, m - j) is built one factor at a time and grows
     at each step, so it stops once past the budget: in full it takes
-    seconds at n = 10**6. One decomposition is always within it, since
+    seconds at n = 10**6. One confined count is always within it, since
     n + k is at most a few million.
     """
     if algorithm == "brute":
         oracle._check_cap(n, oracle.DEFAULT_MAX_N)
         return 0
-    m, j = (n // 2 if algorithm == "fast" else n), k // 2
+    m = solver._live_n(n, k) // 2 if algorithm == "fast" else oracle._guess_width(n, k)
+    j = k // 2
     size = 1
     for i in range(min(j, m - j)):
         size = size * (m - i) // (i + 1)
@@ -180,7 +187,7 @@ def _load_permutation(text: str | None, path: str | None, line: int) -> Permutat
     return parse_permutation(lines[0])
 
 
-def _parse_pairs(text: str) -> tuple[tuple[int, int], ...]:
+def _parse_pairs(text: str) -> list[tuple[int, int]]:
     pairs = []
     for chunk in text.split(","):
         n_str, _, k_str = chunk.partition(":")
@@ -188,7 +195,7 @@ def _parse_pairs(text: str) -> tuple[tuple[int, int], ...]:
             pairs.append((int(n_str), int(k_str)))
         except ValueError as exc:
             raise PpmError(f"bad pair {chunk!r}, expected n:k") from exc
-    return tuple(pairs)
+    return pairs
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -247,7 +254,8 @@ def main(argv: list[str] | None = None) -> int:
 def _validate_config(args: argparse.Namespace) -> None:
     """Range checks argparse cannot express, on the flags the subcommand has.
 
-    Replaces the --pairs text with its (n, k) tuples. Pair syntax is
+    Replaces the --pairs text with its (n, k, confined counts) triples,
+    the work `_check_family` charged each pair. Pair syntax is
     checked first, then threads, seed, n, max-n and reps, then each pair's
     range and size, so an invocation with several faults always
     reports the same one, and every pair is checked before bench prints.
@@ -264,7 +272,7 @@ def _validate_config(args: argparse.Namespace) -> None:
         raise PpmError(f"--max-n must be in [1, {selftest.MAX_N}], got {args.max_n}")
     if "reps" in args and not 1 <= args.reps <= REPS_MAX:
         raise PpmError(f"--reps must be in [1, {REPS_MAX}], got {args.reps}")
-    for n, k in getattr(args, "pairs", ()):
+    for i, (n, k) in enumerate(getattr(args, "pairs", ())):
         if not 1 <= k <= n <= GEN_MAX_N:
             raise PpmError(f"bad pair n={n} k={k}, need 1 <= k <= n <= {GEN_MAX_N}")
-        _check_family(args.algo, n, k)
+        args.pairs[i] = n, k, _check_family(args.algo, n, k)

@@ -56,10 +56,10 @@ def bkm_count(instance: PpmInstance) -> int:
     and gap segments between them (position 1 from 1, position k to n
     when k is odd). Only the assignments with no empty gap can hold an
     occurrence, and only those are generated: anchors a_i = b_i + i for
-    increasing b_1 < ... < b_r in 1..n - r - k%2, r = k//2, so
-    binom(n - r - k%2, r) of the binom(n, r) guesses. These are exactly
-    the guesses whose segments pass `validate_decomposition`, so the
-    family is still BKM's.
+    increasing b_1 < ... < b_r in 1..w, r = k//2 and w = n - r - k%2 from
+    :func:`_guess_width`, so binom(w, r) of the binom(n, r) guesses.
+    These are exactly the guesses whose segments pass
+    `validate_decomposition`, so the family is still BKM's.
     Each is counted by the shared confined counter and summed. Always
     equals count_ppm.
     """
@@ -67,10 +67,18 @@ def bkm_count(instance: PpmInstance) -> int:
     r = k // 2
     shift = range(1, r + 1)
     total = 0
-    for b in combinations(range(1, n - r - k % 2 + 1), r):
+    for b in combinations(range(1, _guess_width(n, k) + 1), r):
         segments = _bkm_segments(tuple(map(add, b, shift)), n, k)
         total += dp.count_respecting(instance, SegmentDecomposition(segments, n))
     return total
+
+
+def _guess_width(n: int, k: int) -> int:
+    """The w whose increasing k//2-subsets of 1..w are :func:`bkm_count`'s guesses.
+
+    The CLI charges a BKM run binom(w, k//2) confined counts by it.
+    """
+    return n - k // 2 - k % 2
 
 
 def _bkm_segments(anchors: tuple[int, ...], n: int, k: int) -> tuple[tuple[int, int], ...]:

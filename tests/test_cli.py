@@ -457,13 +457,24 @@ def test_bench_csv_shape_and_decomposition_column(capsys):
         assert int(r[4]) >= 0 and int(r[5]) > 0
 
 
-def test_bench_bkm_bound_column(capsys):
-    code, out, _ = run_cli(
-        capsys, "bench", "--pairs", "6:4", "--algo", "bkm", "--reps", "1"
-    )
-    assert code == 0
-    row = out.splitlines()[1].split(",")
-    assert row[3] == str(comb(6, 2))
+def test_bench_column_is_the_confined_counts_run(capsys, monkeypatch):
+    # Every pair with n <= 12 through each route: the decompositions column
+    # is exactly the number of dp.count_respecting calls one rep makes.
+    real = dp.count_respecting
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(dp, "count_respecting", counted)
+    for algo in ("fast", "bkm", "brute"):
+        for n in range(1, 13):
+            for k in range(1, n + 1):
+                calls.clear()
+                code, out, _ = run_cli(capsys, "bench", "--algo", algo, "--pairs", f"{n}:{k}", "--reps", "1")
+                assert code == 0
+                assert int(out.splitlines()[1].split(",")[3]) == len(calls), (algo, n, k)
 
 
 def test_bench_rejects_bad_pairs(capsys):
@@ -552,17 +563,32 @@ def test_family_budget_refuses_n200_pair(tmp_path, capsys, monkeypatch):
     assert time.perf_counter() - start < 0.5
 
 
+def test_bkm_is_charged_only_its_feasible_guesses(tmp_path, capsys):
+    # gen --n 30 --seed 1 against gen --n 28 --seed 2: bkm makes
+    # binom(16, 14) = 120 confined counts, milliseconds of work, where a
+    # charge of binom(30, 14) guesses refused it.
+    inst = tmp_path / "instance.txt"
+    inst.write_text(
+        f"{format_permutation(random_permutation(30, 1))}\n{format_permutation(random_permutation(28, 2))}\n"
+    )
+    files = ("--sigma-file", str(inst), "--pattern-file", str(inst))
+    fast = run_cli(capsys, "count", "--algo", "fast", *files)
+    assert fast[0] == 0
+    assert run_cli(capsys, "count", "--algo", "bkm", *files) == fast
+
+
 def test_family_budget_boundary(capsys, monkeypatch):
-    # The largest admitted k = n/2 pair and the next one, through the validator:
-    # a real run at the budget takes about an hour.
-    assert comb(28, 14) * (56 + 28) <= cli.WORK_MAX < comb(29, 14) * (58 + 29)
-    validate("bench", "--pairs", "56:28")
+    # The largest admitted k = n//2 pair and the next one, through the validator:
+    # a real run at the budget takes about an hour. At (58, 29) count skips
+    # the members whose last anchor is 58, which leaves binom(28, 14).
+    assert comb(28, 14) * (58 + 29) <= cli.WORK_MAX < comb(29, 14) * (59 + 29)
+    validate("bench", "--pairs", "58:29")
     with pytest.raises(ppm.PpmError):
-        validate("bench", "--pairs", "58:29")
+        validate("bench", "--pairs", "59:29")
     # A run exactly at the budget runs; one unit less refuses it, except
     # detect --algo fast, which member 1 decides with one chain.
     instance = ("--sigma", "3 2 5 4 1", "--pattern", "1 3 2")
-    for algo, size in (("fast", comb(2, 1)), ("bkm", comb(5, 1)), ("brute", 0)):
+    for algo, size in (("fast", comb(2, 1)), ("bkm", comb(3, 1)), ("brute", 0)):
         monkeypatch.setattr(cli, "WORK_MAX", size * (5 + 3))
         assert run_cli(capsys, "count", "--algo", algo, *instance)[:2] == (0, "2\n")
         assert run_cli(capsys, "detect", "--algo", algo, *instance)[:2] == (0, "true\n")
@@ -576,8 +602,14 @@ def test_family_budget_boundary(capsys, monkeypatch):
 
 
 def _work(algo, n, k):
-    """The rule's decompositions * (n + k), in exact binomials."""
-    return comb(n // 2 if algo == "fast" else n, k // 2) * (n + k)
+    """The confined counts a run makes * (n + k), in exact binomials.
+
+    fast counts the live anchor family, whose (n - k%2)//2 slots drop the
+    last anchor n at even n and odd k; bkm counts its feasible guesses, the
+    k//2-subsets of n - k//2 - k%2 slots.
+    """
+    width = (n - k % 2) // 2 if algo == "fast" else n - k // 2 - k % 2
+    return comb(width, k // 2) * (n + k)
 
 
 def _refuses(algo, n, k):

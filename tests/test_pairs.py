@@ -6,6 +6,11 @@ Claims checked here:
       ties counting for neither side
     - a metric named better-when-higher wins when it rises
     - a metric missing from one side of a pair leaves that pair out
+    - a row whose change median is worse than the base median by more
+      than the metric's bound is marked past it, for a lower-is-better
+      and a higher-is-better metric alike; a gain of any size, a loss
+      inside the bound and a metric with no bound are not, and the tool
+      names each marked row on stderr
     - any run with correct false, or no result, fails the whole set
     - a run past its timeout counts as incorrect, so the set exits 1
     - a workload BENCHMARK.json does not list is refused before the base
@@ -58,6 +63,36 @@ def test_summary_respects_direction_and_missing_metrics():
     assert (t["wins"], t["pairs"]) == (1, 2)
     assert _row(rows, "small", "t")["wins"] == 0
     assert len(rows) == 3
+
+
+def test_summary_marks_a_median_past_its_bound():
+    # Bound 0.25 on every metric but "free": t is better lower, rate higher.
+    base = _run(t_in=1.0, t_past=1.0, t_gain=1.0, rate_in=1.0, rate_past=1.0, rate_gain=1.0, free=1.0)
+    change = _run(t_in=1.24, t_past=1.26, t_gain=0.5, rate_in=0.76, rate_past=0.74, rate_gain=2.0, free=9.0)
+    bounds = {name: 0.25 for name in base["metrics"] if name != "free"}
+    higher = frozenset({"rate_in", "rate_past", "rate_gain"})
+    rows = pairs.summarize({"random": [(base, change)] * 3}, higher, bounds)
+    assert {r["metric"]: r["past_bound"] for r in rows} == {
+        "t_in": False, "t_past": True, "t_gain": False,
+        "rate_in": False, "rate_past": True, "rate_gain": False, "free": False,
+    }
+    assert not any(r["past_bound"] for r in pairs.summarize({"random": [(base, change)]}, higher))
+
+
+def test_a_row_past_its_bound_is_named(monkeypatch, capsys):
+    # BENCHMARK.json bounds count_s.p50 at 0.25 and peak_rss_mib at 0.1.
+    def run(tree, workload, seed):
+        grown = tree == pairs.ROOT
+        return _run(**{"count_s.p50": 1.3 if grown else 1.0, "peak_rss_mib": 10.5 if grown else 10.0})
+
+    monkeypatch.setattr(pairs, "_extract", lambda rev, into: None)
+    monkeypatch.setattr(pairs, "run_once", run)
+    assert pairs.main(["--base", "HEAD", "--workloads", "small", "--pairs", "2"]) == 0
+    out, err = capsys.readouterr()
+    summary = {line.split()[1]: line for line in out.splitlines() if line.startswith("small ")}
+    assert summary["count_s.p50"].endswith("wins 0/2  past bound")
+    assert summary["peak_rss_mib"].endswith("wins 0/2")
+    assert err == "small count_s.p50: change median 1.3 is worse than base median 1 by more than its 25% bound\n"
 
 
 def test_any_incorrect_or_missing_run_fails_the_set():

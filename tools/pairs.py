@@ -12,9 +12,11 @@ cannot archive, is refused with exit 2 before any run. Each run prints
 one line as it ends. Then, per (workload, metric), the summary gives
 each side's median and quartiles, the change/base ratio of the medians
 and how many pairs the change won; ties count for neither side. A
-metric is better when lower unless BENCHMARK.json says "higher". The
-exit status is 1 if any run failed, ran past 180 s or reported
-``correct: false``.
+metric is better when lower unless BENCHMARK.json says "higher". A row
+whose change median is worse than the base median by more than the
+metric's BENCHMARK.json ``bound`` (a fraction of the base median) ends
+in ``past bound``, and one stderr line names it. The exit status is 1
+if any run failed, ran past 180 s or reported ``correct: false``.
 """
 
 from __future__ import annotations
@@ -60,14 +62,19 @@ def _quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
-def summarize(results: dict[str, list[tuple[dict, dict]]], higher: frozenset[str] = frozenset()) -> list[dict]:
+def summarize(results: dict[str, list[tuple[dict, dict]]], higher: frozenset[str] = frozenset(),
+              bounds: dict[str, float] | None = None) -> list[dict]:
     """One row per (workload, metric) from each workload's (base, change) result pairs.
 
     A row holds each side's quartiles, ``ratio`` (change median over base
-    median), ``wins`` (pairs where the change is strictly better) and
-    ``pairs`` (pairs where both sides report the metric). Metrics named in
-    `higher` are better when higher, the rest when lower.
+    median), ``wins`` (pairs where the change is strictly better),
+    ``pairs`` (pairs where both sides report the metric) and
+    ``past_bound``: whether the change median is worse than the base
+    median by more than ``bounds[metric]`` times the base median. Metrics
+    named in `higher` are better when higher, the rest when lower; a
+    metric missing from `bounds` is never past it.
     """
+    bounds = bounds or {}
     rows = []
     for workload, pairs in results.items():
         names = sorted({name for base, change in pairs for name in base.get("metrics", {})})
@@ -84,6 +91,7 @@ def summarize(results: dict[str, list[tuple[dict, dict]]], higher: frozenset[str
                 "workload": workload, "metric": name, "base": b, "change": c,
                 "ratio": c[1] / b[1] if b[1] else float("nan"),
                 "wins": sum(sign * (y - x) < 0 for x, y in both), "pairs": len(both),
+                "past_bound": name in bounds and sign * (c[1] - b[1]) > bounds[name] * abs(b[1]),
             })
     return rows
 
@@ -96,7 +104,7 @@ def _format_row(row: dict) -> str:
     b, c = row["base"], row["change"]
     return (f"{row['workload']:8s} {row['metric']:14s} base {b[1]:.4g} [{b[0]:.4g}, {b[2]:.4g}]"
             f"  change {c[1]:.4g} [{c[0]:.4g}, {c[2]:.4g}]  ratio {row['ratio']:.3f}"
-            f"  wins {row['wins']}/{row['pairs']}")
+            f"  wins {row['wins']}/{row['pairs']}{'  past bound' if row['past_bound'] else ''}")
 
 
 def _extract(rev: str, into: Path) -> None:
@@ -121,7 +129,9 @@ def main(argv: list[str] | None = None) -> int:
     unknown = [w for w in workloads if w not in known]
     if unknown:
         parser.error(f"unknown workload {', '.join(unknown)}; BENCHMARK.json lists {', '.join(known)}")
-    higher = frozenset(m["name"] for m in spec.get("end_to_end", []) if m.get("better") == "higher")
+    end_to_end = spec.get("end_to_end", [])
+    higher = frozenset(m["name"] for m in end_to_end if m.get("better") == "higher")
+    bounds = {m["name"]: m["bound"] for m in end_to_end if "bound" in m}
 
     results: dict[str, list[tuple[dict, dict]]] = {w: [] for w in workloads}
     with tempfile.TemporaryDirectory() as tmp:
@@ -143,8 +153,12 @@ def main(argv: list[str] | None = None) -> int:
                     values = " ".join(f"{name}={m['value']:.4g}" for name, m in run.get("metrics", {}).items())
                     print(f"pair {i + 1} seed {seed} {workload} {side} correct={run.get('correct')} {values}",
                           flush=True)
-    for row in summarize(results, higher):
+    for row in summarize(results, higher, bounds):
         print(_format_row(row))
+        if row["past_bound"]:
+            print(f"{row['workload']} {row['metric']}: change median {row['change'][1]:.4g} is worse than "
+                  f"base median {row['base'][1]:.4g} by more than its {bounds[row['metric']]:.0%} bound",
+                  file=sys.stderr)
     ok = all_correct(results)
     if not ok:
         print("some run failed or reported correct: false", file=sys.stderr)
