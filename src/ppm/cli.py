@@ -167,6 +167,8 @@ def _load_permutation(text: str | None, path: str | None, line: int) -> Permutat
     # argparse requires exactly one of the inline text and the file path.
     if text is not None:
         return parse_permutation(text)
+    if "\0" in path:  # open() would raise ValueError; no file can have such a name
+        raise PpmError(f"{path!r}: a file name cannot hold a NUL byte")
     with open(path, "rb") as fh:
         data = fh.read(FILE_MAX_BYTES + 1)
     if len(data) > FILE_MAX_BYTES:

@@ -3,7 +3,12 @@
 Two independent routes to the same number as the main solver:
 
 * exhaustive search over embeddings, pruned to partial placements whose
-  values already read in pattern order (usable up to n around 20);
+  values already read in pattern order and leave room for the rest: each
+  position leaves enough text positions after it for the pattern
+  positions still to come, and each value leaves enough text values
+  between it and its placed neighbours for the pattern values still to
+  come between them. Both room bounds are exact (see :func:`_search`).
+  It is the ground truth up to the default cap n = 24;
 * the slower guessing baseline that pins an exact text position for every
   even pattern position and counts the consistent completions with the
   same confined counter the main solver uses, so benchmark differences
@@ -28,7 +33,8 @@ def brute_force_enumerate(instance: PpmInstance, max_n: int = DEFAULT_MAX_N) -> 
     """Every occurrence, in lexicographic order of positions.
 
     Depth-first over text positions, extending a partial placement only
-    while its values keep the pattern's relative order.
+    while its values keep the pattern's relative order and leave room,
+    in positions and in values, for the pattern entries still to come.
     """
     _check_cap(instance.n, max_n)
     out: list[Embedding] = []
@@ -106,38 +112,59 @@ def _search(instance: PpmInstance, visit) -> None:
 
     Positions are tried in increasing order at every depth, so full
     matches arrive in lexicographic order. A node at depth j bounds the
-    next value once: it must lie strictly between the placed values whose
-    pattern values are nearest below and above pv[j], so each candidate
-    position costs one comparison instead of j.
+    next value once, so each candidate position costs one comparison
+    instead of j. Say pv[j] = p, and the placed pattern values nearest
+    below and above it are `below` < p < `above`. Then the value v chosen
+    for p must satisfy
+
+        placed[below] + (p - below) <= v <= placed[above] - (above - p).
+
+    Both room bounds are exact: the p - below - 1 pattern values strictly
+    between `below` and p are still to be placed, on distinct text values
+    strictly between placed[below] and v, so a smaller v leaves them no
+    room; likewise the above - p - 1 values between p and `above`. The
+    sentinels 0 and k + 1, placed at 0 and n + 1, give v >= p and
+    v <= n - k + p. The position range is bounded the same way, leaving
+    room for the k - j - 1 positions still to come. At the last depth a
+    candidate that fits is a full match, so `visit` is called from inside
+    the candidate loop, after its position is set, with no leaf call.
     """
     sv = instance.sigma.values
     pv = instance.pattern.values
     n, k = instance.n, instance.k
-    # bounds[j]: the pattern values nearest below and above pv[j] among
-    # pv[0..j-1], or the sentinels 0 and k + 1 where there is none.
+    # bounds[j]: the pattern values `below` and `above` nearest pv[j] among
+    # pv[0..j-1], or the sentinels 0 and k + 1 where there is none, and the
+    # room offsets pv[j] - below and above - pv[j].
     bounds = []
     seen = [0, k + 1]
     for p in pv:
         at = bisect(seen, p)
-        bounds.append((seen[at - 1], seen[at]))
+        below, above = seen[at - 1], seen[at]
+        bounds.append((below, above, p - below, above - p))
         seen.insert(at, p)
     # placed[p]: the text value placed for pattern value p; the sentinels
-    # hold 0 and n + 1, which bound nothing.
+    # hold 0 and n + 1.
     placed = [0] * (k + 2)
     placed[k + 1] = n + 1
     positions = [0] * k
+    last = k - 1
 
     def extend(j: int, start: int) -> None:
-        if j == k:
-            visit(positions)
-            return
-        below, above = bounds[j]
-        lo, hi = placed[below], placed[above]
-        p = pv[j]
+        below, above, rise, fall = bounds[j]
+        lo = placed[below] + rise
+        hi = placed[above] - fall
         # Leave room for the k - j - 1 positions still to come.
-        for pos in range(start, n - (k - j) + 2):
+        stop = n - (k - j) + 2
+        if j == last:
+            for pos in range(start, stop):
+                if lo <= sv[pos - 1] <= hi:
+                    positions[j] = pos
+                    visit(positions)
+            return
+        p = pv[j]
+        for pos in range(start, stop):
             v = sv[pos - 1]
-            if lo < v < hi:
+            if lo <= v <= hi:
                 positions[j] = pos
                 placed[p] = v
                 extend(j + 1, pos + 1)

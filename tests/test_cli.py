@@ -13,6 +13,8 @@ from math import comb
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import ppm
 from ppm import cli, dp, oracle, selftest, solver
@@ -674,6 +676,90 @@ def test_work_budget_refuses_long_text_tiny_pattern(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "bench", "--pairs", "1000000:2")
     assert (code, out) == (2, "")
     assert err == _budget_message("fast", 1000000, 2)
+
+
+# -- hostile input -------------------------------------------------------------------------
+
+_TEXT = st.text(max_size=8)
+_NUMBERS = st.one_of(
+    st.sampled_from(("0", "1", "3", "12", "-1", "-64", "18446744073709551616", "9" * 5000, "1e3", "0x10",
+                     "1.5", " 3", "\uff13", "\u0663", "", "x", "\u00e9")),
+    st.integers(-3, 40).map(str),
+    _TEXT,
+)
+# Run from a directory holding these files; the others are missing.
+_FILES = st.one_of(st.sampled_from(("empty.txt", "latin1.txt", "dir", "missing.txt", "nul\0.txt", "instance.txt")),
+                   _TEXT)
+_ALGOS = st.sampled_from(("fast", "bkm", "brute", "slow", ""))
+_PERMUTATIONS = st.one_of(
+    st.integers(1, 8).flatmap(lambda n: st.permutations(range(1, n + 1))).map(lambda p: " ".join(map(str, p))),
+    st.sampled_from(("1 1", "0", "-1 1", "1,2", "\uff11 \uff12", "", "   ", "9" * 5000, "\u00e9", "1\u20282")),
+    _TEXT,
+)
+_INSTANCE_FLAGS = {"--algo": _ALGOS, "--sigma": _PERMUTATIONS, "--pattern": _PERMUTATIONS,
+                   "--sigma-file": _FILES, "--pattern-file": _FILES, "--threads": _NUMBERS}
+_FLAGS = {
+    "count": _INSTANCE_FLAGS,
+    "detect": _INSTANCE_FLAGS,
+    "gen": {"--n": _NUMBERS, "--seed": _NUMBERS},
+    # Every valid --max-n drawn is at most 3, so a selftest run stays short.
+    "selftest": {"--max-n": st.sampled_from(("1", "2", "3", "0", "-1", str(selftest.MAX_N + 1), "x", "\uff13"))},
+    "bench": {"--pairs": st.one_of(st.sampled_from(("3:2", "12:6", "13:2", "4:5", "0:0", "-3:1", "3:", ":", ",",
+                                                    "5:2,6:3", "10:3,3:10", "99999999999999:3", "\u0663:2")),
+                                   _TEXT),
+              "--algo": _ALGOS, "--seed": _NUMBERS, "--reps": _NUMBERS, "--threads": _NUMBERS},
+}
+
+
+@st.composite
+def _hostile_argv(draw):
+    command = draw(st.sampled_from((*_FLAGS, "nope", "")))
+    known = _FLAGS.get(command, {})
+    # The flags a run needs come first, so that most runs get past argparse;
+    # selftest always gets a --max-n, since its default is 6.
+    needed = {"gen": ["--n"], "selftest": ["--max-n"], "bench": ["--pairs"]}.get(command, [])
+    if command in ("count", "detect"):
+        needed = [draw(st.sampled_from(("--sigma", "--sigma-file"))),
+                  draw(st.sampled_from(("--pattern", "--pattern-file")))]
+    argv = [command]
+    for name in needed + draw(st.lists(st.sampled_from(tuple(known) or ("--bogus",)), max_size=3)):
+        argv += [name, draw(known[name])] if name in known else [name]
+    if draw(st.integers(0, 3)) == 0:
+        argv.insert(draw(st.integers(1, len(argv))), draw(st.sampled_from(("--bogus", "--help"))))
+    return argv
+
+
+def test_hostile_argv_exits_cleanly(tmp_path, capsys):
+    # Every subcommand and flag with huge, negative, non-ASCII and malformed
+    # values, and instance files that are empty, not UTF-8, a directory,
+    # missing or named with a NUL byte. Sizes are capped small so that every
+    # run is short.
+    (tmp_path / "empty.txt").write_text("")
+    (tmp_path / "latin1.txt").write_bytes(b"3 2 1\n\xe9\n")
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "instance.txt").write_text("3 2 5 4 1\n1 3 2\n")
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=2000)
+    @given(_hostile_argv())
+    @example(["count", "--sigma-file", "nul\0.txt", "--pattern", "1"])
+    @example(["detect", "--sigma-file", "dir", "--pattern-file", "latin1.txt"])
+    def run(argv):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse: 2 on a usage error, 0 after --help
+            code, handled = exc.code, False
+        else:
+            handled = True
+        out, err = capsys.readouterr()
+        assert code in (0, 1, 2)
+        if handled and code == 2:
+            assert out == "" and err.startswith("ppm: ") and len(err.splitlines()) == 1
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.chdir(tmp_path)
+        mp.setattr(cli, "WORK_MAX", 10_000)
+        mp.setattr(cli, "GEN_MAX_N", 12)
+        run()
 
 
 # -- end to end through a real process ----------------------------------------------------

@@ -2,7 +2,10 @@
 
 Claims checked here:
     - brute_force_enumerate lists exactly the occurrences, in strict
-      lexicographic order, and respects the size cap
+      lexicographic order, and respects the size cap; against the
+      definition it is checked on every instance with n <= 5 and on
+      seeded instances with 6 <= n <= 10 and k >= n - 3, where its value
+      room binds at most depths
     - brute_force_count matches the enumeration without materializing it
     - bkm_count meets the worked counts; its agreement with the other
       routes is acceptance criterion 3, by selftest.check_routes_agree
@@ -14,7 +17,7 @@ Claims checked here:
 """
 
 import random
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb
 
 import pytest
@@ -28,6 +31,7 @@ from ppm.core import (
     PpmInstance,
     SegmentDecomposition,
     is_solution,
+    pattern_of,
     respects,
     validate_decomposition,
 )
@@ -82,11 +86,31 @@ def test_enumerate_is_sorted_and_complete():
         assert sum(1 for f in all_f if is_solution(inst, f)) == len(sols)
 
 
+def _tight_instances(count):
+    """Seeded instances with 6 <= n <= 10 and k >= n - 3.
+
+    Each pattern value then has at most four text values to choose from,
+    so the search's value room binds at most depths. Every other pattern
+    is the order pattern of a random k-subsequence of the text, so about
+    half of the instances hold an occurrence.
+    """
+    rng = random.Random(61)
+    for i in range(count):
+        n = rng.randint(6, 10)
+        k = rng.randint(n - 3, n)
+        sigma = rng.sample(range(1, n + 1), n)
+        if i % 2:
+            pattern = pattern_of([sigma[p] for p in sorted(rng.sample(range(n), k))]).values
+        else:
+            pattern = rng.sample(range(1, k + 1), k)
+        yield _inst(sigma, pattern)
+
+
 def test_enumerate_matches_definition_exhaustively():
     # Ground truth against the definition, not against another route.
     instances = list(exhaustive_instances(5))
     assert len(instances) == 19_213
-    for inst in instances:
+    for inst in chain(instances, _tight_instances(2_000)):
         expected = [
             c for c in combinations(range(1, inst.n + 1), inst.k) if is_solution(inst, Embedding(c))
         ]

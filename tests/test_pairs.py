@@ -11,6 +11,10 @@ Claims checked here:
       and a higher-is-better metric alike; a gain of any size, a loss
       inside the bound and a metric with no bound are not, and the tool
       names each marked row on stderr
+    - a row is marked a gain exactly when the change wins at least 9/10
+      of its pairs, ties counting for neither, and its median is better
+      than the base median by more than the base's interquartile range,
+      for a lower-is-better and a higher-is-better metric alike
     - any run with correct false, or no result, fails the whole set
     - a run past its timeout counts as incorrect, so the set exits 1
     - a workload BENCHMARK.json does not list is refused before the base
@@ -77,6 +81,29 @@ def test_summary_marks_a_median_past_its_bound():
         "rate_in": False, "rate_past": True, "rate_gain": False, "free": False,
     }
     assert not any(r["past_bound"] for r in pairs.summarize({"random": [(base, change)]}, higher))
+
+
+def test_summary_marks_a_gain_by_wins_and_the_base_spread():
+    # The base runs spread over 1.00-1.09, an interquartile range of 0.055.
+    base = [1.0 + 0.01 * i for i in range(10)]
+    change = {
+        "t_gain": [0.5] * 9 + [2.0],  # 9/10 wins, median far below
+        "t_tie": [0.5] * 9 + [base[9]],  # 9 wins and a tie
+        "t_8_wins": [0.5] * 8 + [2.0] * 2,
+        "t_8_wins_tie": [0.5] * 8 + [base[8], 2.0],
+        "t_near": [x - 0.01 for x in base],  # 10/10 wins, medians 0.01 apart
+        "rate_gain": [2.0] * 9 + [0.1],
+        "rate_loss": [0.5] * 10,
+    }
+    results = {"random": [(_run(**dict.fromkeys(change, x)), _run(**{m: v[i] for m, v in change.items()}))
+                          for i, x in enumerate(base)]}
+    rows = pairs.summarize(results, frozenset({"rate_gain", "rate_loss"}))
+    assert {r["metric"]: r["gain"] for r in rows} == {
+        "t_gain": True, "t_tie": True, "t_8_wins": False, "t_8_wins_tie": False,
+        "t_near": False, "rate_gain": True, "rate_loss": False,
+    }
+    assert pairs._format_row(_row(rows, "random", "t_gain")).endswith("wins 9/10  gain")
+    assert pairs._format_row(_row(rows, "random", "t_near")).endswith("wins 10/10")
 
 
 def test_a_row_past_its_bound_is_named(monkeypatch, capsys):

@@ -15,7 +15,10 @@ and how many pairs the change won; ties count for neither side. A
 metric is better when lower unless BENCHMARK.json says "higher". A row
 whose change median is worse than the base median by more than the
 metric's BENCHMARK.json ``bound`` (a fraction of the base median) ends
-in ``past bound``, and one stderr line names it. The exit status is 1
+in ``past bound``, and one stderr line names it. A row ends in ``gain``
+when the change won at least 9/10 of its pairs and its median is better
+than the base median by more than the base's interquartile range: the
+rule by which a gain may be claimed. The exit status is 1
 if any run failed, ran past 180 s or reported ``correct: false``.
 """
 
@@ -70,7 +73,10 @@ def summarize(results: dict[str, list[tuple[dict, dict]]], higher: frozenset[str
     median), ``wins`` (pairs where the change is strictly better),
     ``pairs`` (pairs where both sides report the metric) and
     ``past_bound``: whether the change median is worse than the base
-    median by more than ``bounds[metric]`` times the base median. Metrics
+    median by more than ``bounds[metric]`` times the base median, and
+    ``gain``: whether the change won at least 9/10 of the pairs and its
+    median is better than the base median by more than the base's
+    interquartile range. Metrics
     named in `higher` are better when higher, the rest when lower; a
     metric missing from `bounds` is never past it.
     """
@@ -87,11 +93,13 @@ def summarize(results: dict[str, list[tuple[dict, dict]]], higher: frozenset[str
             b = _quartiles([x for x, _ in both])
             c = _quartiles([y for _, y in both])
             sign = -1 if name in higher else 1
+            wins = sum(sign * (y - x) < 0 for x, y in both)
             rows.append({
                 "workload": workload, "metric": name, "base": b, "change": c,
                 "ratio": c[1] / b[1] if b[1] else float("nan"),
-                "wins": sum(sign * (y - x) < 0 for x, y in both), "pairs": len(both),
+                "wins": wins, "pairs": len(both),
                 "past_bound": name in bounds and sign * (c[1] - b[1]) > bounds[name] * abs(b[1]),
+                "gain": 10 * wins >= 9 * len(both) and sign * (b[1] - c[1]) > b[2] - b[0],
             })
     return rows
 
@@ -104,7 +112,8 @@ def _format_row(row: dict) -> str:
     b, c = row["base"], row["change"]
     return (f"{row['workload']:8s} {row['metric']:14s} base {b[1]:.4g} [{b[0]:.4g}, {b[2]:.4g}]"
             f"  change {c[1]:.4g} [{c[0]:.4g}, {c[2]:.4g}]  ratio {row['ratio']:.3f}"
-            f"  wins {row['wins']}/{row['pairs']}{'  past bound' if row['past_bound'] else ''}")
+            f"  wins {row['wins']}/{row['pairs']}{'  past bound' if row['past_bound'] else ''}"
+            f"{'  gain' if row['gain'] else ''}")
 
 
 def _extract(rev: str, into: Path) -> None:
